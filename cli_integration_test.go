@@ -104,6 +104,38 @@ func TestCLIChipmunkInfeasibleExitCode(t *testing.T) {
 	}
 }
 
+// Out-of-range sizes and widths are usage errors (exit 1) with a message,
+// never a verdict (an INFEASIBLE exit 3 for a negative bound) or a panic
+// (whose exit 2 would read as a timeout).
+func TestCLIChipmunkRejectsOutOfRangeOptions(t *testing.T) {
+	bin := buildTool(t, "chipmunk")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-max-stages", "-3"}, "max stages -3"},
+		{[]string{"-verify-width", "64"}, "verify width"},
+		{[]string{"-verify-width", "-1"}, "verify width"},
+		{[]string{"-synth-width", "33"}, "synth width"},
+		{[]string{"-width", "0"}, "pisa width 0"},
+		{[]string{"-width", "-2"}, "pisa width -2"},
+	} {
+		args := append(append([]string{}, tc.args...), samplingPath(t))
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("%v: want usage exit 1, got %v\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "invalid options") || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+		if strings.Contains(string(out), "INFEASIBLE") || strings.Contains(string(out), "panic") {
+			t.Errorf("%v: usage error reported as a verdict or panic:\n%s", tc.args, out)
+		}
+	}
+}
+
 func TestCLIDominoc(t *testing.T) {
 	bin := buildTool(t, "dominoc")
 	out, err := exec.Command(bin, "-alu", "if_else_raw", "-flat", samplingPath(t)).CombinedOutput()

@@ -108,6 +108,36 @@ func run() error {
 		return fmt.Errorf("-bpf-opcode-mask is local-only (the daemon API does not expose a machine mask)")
 	}
 
+	kind, err := alu.KindByName(*aluKind)
+	if err != nil {
+		return err
+	}
+	opts := core.Options{
+		Target:         *target,
+		Width:          *width,
+		MaxStages:      *maxStages,
+		BPFOpcodeMask:  uint32(*opcodeMask),
+		StatelessALU:   alu.Stateless{ConstBits: *constBits},
+		StatefulALU:    alu.Stateful{Kind: kind, ConstBits: *constBits},
+		SynthWidth:     word.Width(*synthWidth),
+		VerifyWidth:    word.Width(*verifyWidth),
+		IndicatorAlloc: *indicator,
+		FixedStages:    *fixed,
+		Explain:        *explain,
+		Seed:           *seed,
+		CEGISMode:      *cegisMode,
+		SymmetryBreak:  *symmetry,
+		Parallelism:    *parallel,
+		SeedFanout:     *seedFanout,
+		RaceAllocs:     *raceAllocs,
+		RaceModes:      *raceModes,
+	}
+	// Out-of-range sizes and widths are usage errors (exit 1), caught
+	// before any compile, local or remote, can start.
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+
 	src, name, err := readSource(flag.Arg(0))
 	if err != nil {
 		return err
@@ -138,30 +168,6 @@ func run() error {
 		}, *timeout, *asJSON, *watch)
 	}
 
-	kind, err := alu.KindByName(*aluKind)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{
-		Target:         *target,
-		Width:          *width,
-		MaxStages:      *maxStages,
-		BPFOpcodeMask:  uint32(*opcodeMask),
-		StatelessALU:   alu.Stateless{ConstBits: *constBits},
-		StatefulALU:    alu.Stateful{Kind: kind, ConstBits: *constBits},
-		SynthWidth:     word.Width(*synthWidth),
-		VerifyWidth:    word.Width(*verifyWidth),
-		IndicatorAlloc: *indicator,
-		FixedStages:    *fixed,
-		Explain:        *explain,
-		Seed:           *seed,
-		CEGISMode:      *cegisMode,
-		SymmetryBreak:  *symmetry,
-		Parallelism:    *parallel,
-		SeedFanout:     *seedFanout,
-		RaceAllocs:     *raceAllocs,
-		RaceModes:      *raceModes,
-	}
 	var cache *solcache.Cache
 	if *cachePath != "" {
 		cache = solcache.New(0, solcache.WithPersistPath(*cachePath))

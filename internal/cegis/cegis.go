@@ -329,6 +329,12 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		return res, nil
 	}
 
+	// Building the sketch, its domain constraints and the seed tests is
+	// encoding work outside any CEGIS phase: the cegis.encode span
+	// attributes it (obs.RollupCompile counts it as encode time). End is
+	// idempotent: the deferred call only closes it on an error return.
+	_, encodeSpan := obs.StartSpan(ctx, "cegis.encode")
+	defer encodeSpan.End()
 	b := circuit.New()
 	sk, err := be.NewSketch(b, size, len(fields), len(states))
 	if err != nil {
@@ -443,6 +449,7 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 			}
 		}
 	}
+	encodeSpan.End(obs.Int("tests", res.Tests))
 
 	trace := func(ev Event) {
 		if opts.Trace != nil {
@@ -553,7 +560,10 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		// Feed the counterexample back at the verification width (the
 		// paper's outer loop: "rerun SKETCH using the counterexample as an
 		// additional concrete input").
-		if err := addTest(vo.cex, vw); err != nil {
+		_, cexSpan := obs.StartSpan(ctx, "cegis.encode")
+		err := addTest(vo.cex, vw)
+		cexSpan.End(obs.Int("tests", res.Tests))
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -514,6 +514,8 @@ type CNF struct {
 	nVars    int // SAT variables this encoder allocated
 	nClauses int // clauses this encoder added (Tseitin + assertions)
 
+	rec *sat.Formula // RecordTo target; nil when not recording
+
 	// Constraint groups (EnableGroups): assertion clauses are gated by a
 	// per-group selector literal so the solver's UNSAT core can blame
 	// named groups. Off by default — the feasible path emits exactly the
@@ -540,9 +542,19 @@ func (c *CNF) NumVars() int { return c.nVars }
 // NumClauses returns the number of clauses this encoder has added.
 func (c *CNF) NumClauses() int { return c.nClauses }
 
+// RecordTo makes the encoder append a copy of every clause it adds from
+// now on to f, exactly as handed to the solver, so an encoding can be
+// written out with sat.Formula.WriteDIMACS and solved outside the CEGIS
+// loop (the solver's benchmark fixtures are made this way). A nil f stops
+// recording.
+func (c *CNF) RecordTo(f *sat.Formula) { c.rec = f }
+
 // addClause forwards to the solver while counting encoding size.
 func (c *CNF) addClause(lits ...sat.Lit) {
 	c.nClauses++
+	if c.rec != nil {
+		c.rec.AddClause(lits...)
+	}
 	c.solver.AddClause(lits...)
 }
 

@@ -22,6 +22,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -151,6 +152,36 @@ func (o *Options) targetName() string {
 		return "pisa"
 	}
 	return o.Target
+}
+
+// ErrInvalidOptions reports option values no compile can honour.
+var ErrInvalidOptions = errors.New("core: invalid options")
+
+// Validate rejects option values no compile can honour before any work
+// starts: a negative stage or slot bound, a pisa PHV width below one, or a
+// CEGIS tier width outside the range word.Width supports. Zero keeps each
+// default. Errors wrap ErrInvalidOptions. Compile calls it first, so bad
+// input from any caller is an error rather than a panic deep in encoding;
+// the CLI reports it as a usage error and chipmunkd as a 400.
+func (o Options) Validate() error {
+	if o.MaxStages < 0 {
+		return fmt.Errorf("%w: max stages %d is negative", ErrInvalidOptions, o.MaxStages)
+	}
+	if o.targetName() == "pisa" && o.Width < 1 {
+		return fmt.Errorf("%w: pisa width %d, need at least 1", ErrInvalidOptions, o.Width)
+	}
+	for _, tier := range []struct {
+		name string
+		w    word.Width
+	}{{"synth width", o.SynthWidth}, {"verify width", o.VerifyWidth}} {
+		if tier.w == 0 {
+			continue
+		}
+		if err := tier.w.Validate(); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrInvalidOptions, tier.name, err)
+		}
+	}
+	return nil
 }
 
 // ErrUnknownTarget reports an unrecognized Options.Target.
@@ -308,6 +339,9 @@ func (r *Report) Effort() Effort {
 func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Program: prog.Name, Target: opts.targetName()}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if _, err := backendFor(opts, opts.IndicatorAlloc, opts.SymmetryBreak); err != nil {
 		return nil, err
 	}

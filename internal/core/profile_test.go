@@ -144,3 +144,36 @@ func TestCompileWritesHistory(t *testing.T) {
 		t.Errorf("cold meta: %+v", cold.Meta)
 	}
 }
+
+// Every attempt's setup encoding and every counterexample test run in a
+// cegis.encode span, so a sequential compile's named layers (solve,
+// encode, cache lookup, other) add up to its wall clock with setup
+// encoding counted as encode time.
+func TestProfileAttributesSetupEncoding(t *testing.T) {
+	b, _ := programs.ByName("sampling")
+	tr := obs.NewTracer()
+	ctx := obs.ContextWithTracer(context.Background(), tr)
+	rep, err := Compile(ctx, b.Parse(), benchOptions(b))
+	if err != nil || !rep.Feasible {
+		t.Fatalf("sampling: feasible=%v err=%v", rep != nil && rep.Feasible, err)
+	}
+	p, err := tr.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodes := 0
+	for _, r := range tr.Records() {
+		if r.Type == obs.RecordStart && r.Name == "cegis.encode" {
+			encodes++
+		}
+	}
+	// One setup span per attempt plus one per counterexample: each
+	// attempt ends at the iteration after its last counterexample.
+	if encodes != p.Iters {
+		t.Errorf("%d cegis.encode spans over %d attempts and %d iterations, want %d", encodes, p.Attempts, p.Iters, p.Iters)
+	}
+	sum := p.SolveMS + p.EncodeMS + p.CacheLookupMS + p.OtherMS
+	if d := sum - p.TotalMS; d > 1e-6 || d < -1e-6 {
+		t.Errorf("named layers sum to %.3f ms, compile took %.3f ms: %+v", sum, p.TotalMS, p)
+	}
+}

@@ -9,7 +9,7 @@ import (
 // field changes meaning or a field the history store depends on is
 // removed, so trend tooling (internal/perfhist, cmd/chipreport) can
 // refuse to compare incompatible records instead of silently mixing them.
-const ProfileVersion = 1
+const ProfileVersion = 2
 
 // CompileProfile is one compilation's effort, rolled up from its span
 // tree into a single flat, versioned record: where the wall-clock went
@@ -26,13 +26,16 @@ const ProfileVersion = 1
 //   - SynthMS/VerifyMS/SolveMS sum over every CEGIS phase span, including
 //     concurrently racing portfolio members, so in portfolio mode their
 //     sum can exceed TotalMS — they are CPU-effort-like, not wall-like.
-//   - EncodeMS is the phase time spent outside SAT solving (circuit
+//   - EncodeMS is encoding time outside SAT solving (circuit
 //     construction, Tseitin CNF, test instantiation): SynthMS+VerifyMS
-//     minus their sat.solve children.
-//   - OtherMS is compile wall-clock not inside any phase or cache lookup
-//     (parsing adjacency, canonicalization, config extraction,
-//     cross-checking, scheduler idle); clamped at zero in portfolio mode
-//     where the phase sums overlap in time.
+//     minus their sat.solve children, plus every cegis.encode span (the
+//     sketch, domain constraints and seed tests an attempt builds before
+//     its first iteration, and each counterexample test). Version 1
+//     profiles left the cegis.encode time in OtherMS.
+//   - OtherMS is compile wall-clock not inside any phase, encode span or
+//     cache lookup (parsing adjacency, canonicalization, config
+//     extraction, cross-checking, scheduler idle); clamped at zero in
+//     portfolio mode where the phase sums overlap in time.
 type CompileProfile struct {
 	Version int    `json:"version"`
 	Program string `json:"program,omitempty"`
@@ -225,6 +228,7 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 	}
 
 	winner := ""
+	encodeSpanMS := 0.0
 	for id, n := range nodes {
 		if n.endNS < 0 || !inCompile(id) {
 			continue
@@ -245,6 +249,8 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 			p.VerifyMS += durMS(n.dur())
 		case "cegis.iter":
 			p.Iters++
+		case "cegis.encode":
+			encodeSpanMS += durMS(n.dur())
 		case "attempt":
 			p.Attempts++
 			if member := attrStr(n.attrs, "member"); member != "" {
@@ -277,10 +283,11 @@ func RollupCompile(recs []Record) (CompileProfile, error) {
 	p.Winner = winner
 	p.PrunedDepths = int(attrI64(root.attrs, "pruned"))
 
+	p.EncodeMS = encodeSpanMS
 	if enc := p.SynthMS + p.VerifyMS - p.SolveMS; enc > 0 {
-		p.EncodeMS = enc
+		p.EncodeMS += enc
 	}
-	if other := p.TotalMS - p.SynthMS - p.VerifyMS - p.CacheLookupMS; other > 0 {
+	if other := p.TotalMS - p.SynthMS - p.VerifyMS - encodeSpanMS - p.CacheLookupMS; other > 0 {
 		p.OtherMS = other
 	}
 	return p, nil

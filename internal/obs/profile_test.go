@@ -104,6 +104,70 @@ func TestRollupCompileSynthetic(t *testing.T) {
 	}
 }
 
+// TestRollupCompileEncodeSpans: cegis.encode spans (an attempt's sketch
+// and seed-test setup, and each counterexample test) count as encode time
+// and leave OtherMS, so the named layers sum to the compile's wall clock:
+//
+//	compile                [0, 100]
+//	  attempt              [0, 100]
+//	    cegis.encode       [0, 10]   setup
+//	    cegis.iter         [10, 40]
+//	      synth            [10, 25]
+//	        sat.solve      [12, 20]
+//	      verify           [25, 40]
+//	        sat.solve      [30, 35]
+//	    cegis.encode       [40, 45]  counterexample test
+//	    cegis.iter         [45, 80]
+//	      synth            [45, 80]
+//	        sat.solve      [50, 70]
+func TestRollupCompileEncodeSpans(t *testing.T) {
+	ms := func(v int64) int64 { return v * 1e6 }
+	span := func(id, parent int64, name string, from, to int64) []Record {
+		return []Record{
+			{Type: RecordStart, ID: id, Parent: parent, Name: name, TimeNS: ms(from)},
+			{Type: RecordEnd, ID: id, TimeNS: ms(to)},
+		}
+	}
+	var recs []Record
+	for _, sp := range [][]Record{
+		span(1, 0, "compile", 0, 100),
+		span(2, 1, "attempt", 0, 100),
+		span(3, 2, "cegis.encode", 0, 10),
+		span(4, 2, "cegis.iter", 10, 40),
+		span(5, 4, "synth", 10, 25),
+		span(6, 5, "sat.solve", 12, 20),
+		span(7, 4, "verify", 25, 40),
+		span(8, 7, "sat.solve", 30, 35),
+		span(9, 2, "cegis.encode", 40, 45),
+		span(10, 2, "cegis.iter", 45, 80),
+		span(11, 10, "synth", 45, 80),
+		span(12, 11, "sat.solve", 50, 70),
+	} {
+		recs = append(recs, sp...)
+	}
+	p, err := RollupCompile(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"SynthMS", p.SynthMS, 50},
+		{"VerifyMS", p.VerifyMS, 15},
+		{"SolveMS", p.SolveMS, 33},
+		{"EncodeMS", p.EncodeMS, 47}, // 50+15-33 in phases, 10+5 in encode spans
+		{"OtherMS", p.OtherMS, 20},   // 100-50-15-15
+	} {
+		if !near(w.got, w.want) {
+			t.Errorf("%s = %v, want %v", w.name, w.got, w.want)
+		}
+	}
+	if sum := p.SolveMS + p.EncodeMS + p.CacheLookupMS + p.OtherMS; !near(sum, p.TotalMS) {
+		t.Errorf("named layers sum to %v, compile took %v", sum, p.TotalMS)
+	}
+}
+
 // The profile must be identical when the trace has been through a JSONL
 // round trip, which widens integer attributes to float64.
 func TestRollupCompileJSONRoundTrip(t *testing.T) {

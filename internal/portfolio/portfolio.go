@@ -292,6 +292,7 @@ type sched[T any] struct {
 	timedOut      bool
 	done          bool
 	fatal         error
+	panicked      any // first member panic, re-raised by Run (recover never yields nil)
 }
 
 // Run races the members on a pool of `workers` goroutines (clamped to the
@@ -359,6 +360,9 @@ func Run[T any](ctx context.Context, members []Member, workers int, run RunFunc[
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
 	if s.fatal != nil {
 		return Result[T]{}, s.fatal
 	}
@@ -495,10 +499,29 @@ func (s *sched[T]) runMember(i int) {
 	defer cancel(nil)
 
 	s.reg.Gauge("portfolio.inflight").Add(1)
-	v, verdict, err := s.run(mctx, m)
+	v, verdict, err := s.runGuarded(mctx, m)
 	s.reg.Gauge("portfolio.inflight").Add(-1)
 
 	s.report(i, v, verdict, err)
+}
+
+// runGuarded is s.run with a member panic caught. The member fails with
+// an error, which winds the race down like any internal failure, and Run
+// re-raises the panic on its caller's goroutine once every worker has
+// stopped. Left alone, a panic on a worker goroutine would end the
+// process before the caller (chipmunkd's per-job recover, say) saw it.
+func (s *sched[T]) runGuarded(ctx context.Context, m Member) (v T, verdict Verdict, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mu.Lock()
+			if s.panicked == nil {
+				s.panicked = p
+			}
+			s.mu.Unlock()
+			err = fmt.Errorf("portfolio: member %s panicked: %v", m.Label, p)
+		}
+	}()
+	return s.run(ctx, m)
 }
 
 func (s *sched[T]) report(i int, v T, verdict Verdict, err error) {

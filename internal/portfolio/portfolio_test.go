@@ -239,6 +239,35 @@ func TestFatalError(t *testing.T) {
 	}
 }
 
+// A member panicking on a worker goroutine must not end the process: the
+// race winds down and Run re-raises the panic on its caller's goroutine,
+// where the caller's own recover sees it.
+func TestMemberPanicReraisedOnCaller(t *testing.T) {
+	manyCores(t)
+	reg := obs.NewRegistry()
+	ctx := obs.ContextWithMetrics(context.Background(), reg)
+	for _, label := range []string{"d1.s0.canon", "d2.s0.canon"} {
+		run := func(ctx context.Context, m Member) (string, Verdict, error) {
+			if m.Label == label {
+				panic("boom in " + m.Label)
+			}
+			<-ctx.Done()
+			return "", TimedOut, nil
+		}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			Run(ctx, spec(1, 2, 1).Members(), 2, run)
+			return nil
+		}()
+		if got != "boom in "+label {
+			t.Fatalf("%s: recovered %v, want the member's panic", label, got)
+		}
+		if g := reg.Gauge("portfolio.inflight").Value(); g != 0 {
+			t.Errorf("%s: inflight gauge %d after Run, want 0", label, g)
+		}
+	}
+}
+
 // Context expiry surfaces as TimedOut, not Infeasible.
 func TestDeadlineTimesOut(t *testing.T) {
 	f := &fakeRun{}

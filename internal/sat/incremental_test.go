@@ -193,6 +193,23 @@ func TestIncrementalSolveAfterFormulaUnsat(t *testing.T) {
 	}
 }
 
+// fuzzCompactingSeed is a FuzzIncrementalSolve input whose leading byte
+// selects the stressed arena and whose rounds cross a compaction
+// (TestFuzzIncrementalSeedCompacts keeps it that way).
+var fuzzCompactingSeed = []byte{
+	0x83, // 8 variables, stressed arena
+	0x02, 0xbd, 0x80, 0x04, 0x02, 0xde, 0x4d, 0x4a, 0x02, 0xf9, 0x18, 0x8a,
+	0x02, 0xd0, 0xf8, 0xf7, 0x02, 0x96, 0xaa, 0x57, 0x02, 0xc6, 0xb2, 0x4f,
+	0x02, 0x33, 0xc8, 0xfb, 0x02, 0x27, 0xf8, 0x9c, 0x02, 0x05, 0x2b, 0xe1,
+	0x00, 0x89, 0x02, 0x35, 0x5d, 0x46, 0x02, 0xcb, 0xd7, 0x64,
+	0x02, 0x50, 0x9f, 0x82, 0x00, 0xd3, 0x02, 0x0e, 0x41, 0x8f,
+	0x02, 0x39, 0x0d, 0xff, 0x02, 0x40, 0x3f, 0x03, 0x02, 0x45, 0xf6, 0xfa,
+	0x02, 0x09, 0x86, 0x52, 0x02, 0xf0, 0xae, 0xbb, 0x02, 0xf8, 0x14, 0x66,
+	0x02, 0xc1, 0x57, 0x18, 0x02, 0xee, 0x07, 0xa8, 0x00, 0xbf,
+	0x02, 0x30, 0x5d, 0x16, 0x02, 0xf0, 0x6f, 0x20, 0x02, 0xd3, 0xbe, 0xf3,
+	0x02, 0x91, 0xb0, 0x9b, 0x00, 0xf8, 0x02, 0x41, 0x61, 0xab,
+}
+
 // FuzzIncrementalSolve drives a retained solver through a fuzzer-chosen
 // interleaving of clause additions and assumption solves, checking every
 // solve against a fresh solver and exhaustive enumeration.
@@ -201,45 +218,56 @@ func FuzzIncrementalSolve(f *testing.F) {
 	f.Add([]byte{0, 4, 128, 1, 3, 0, 255, 2, 9, 17, 0, 0})
 	f.Add([]byte{7, 1, 1, 1, 129, 0, 64, 2, 2, 3, 1, 130, 131, 0, 200})
 	f.Add([]byte{5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
-			return
-		}
-		n := 3 + int(data[0])%6 // 3..8 variables
-		s := New()
-		mkVars(s, n)
-		var cum [][]Lit
-		solves := 0
-		i := 1
-		for i < len(data) && solves < 10 && len(cum) < 48 {
-			op := data[i]
-			i++
-			if op%4 == 0 {
-				// Solve under one assumption derived from the next byte.
-				var assume []Lit
-				if i < len(data) {
-					b := data[i]
-					i++
-					assume = []Lit{MkLit(Var(int(b)%n), b >= 128)}
-				}
-				checkRound(t, s, n, cum, assume)
-				solves++
-				continue
-			}
-			// Add a clause of 1..3 literals from the following bytes.
-			ln := 1 + int(op)%3
-			var cl []Lit
-			for k := 0; k < ln && i < len(data); k++ {
+	f.Add(fuzzCompactingSeed)
+	f.Fuzz(func(t *testing.T, data []byte) { incrementalRounds(t, data) })
+}
+
+// incrementalRounds is FuzzIncrementalSolve's body. data[0] picks the
+// variable count (3..8) and, when it is 128 or more, the stressed arena of
+// stressArena for the retained solver; the rest is a program of clause
+// additions and one-assumption solves. It returns the retained solver.
+func incrementalRounds(t *testing.T, data []byte) *Solver {
+	s := New()
+	if len(data) < 1 {
+		return s
+	}
+	n := 3 + int(data[0])%6 // 3..8 variables
+	if data[0] >= 128 {
+		stressArena(s)
+	}
+	mkVars(s, n)
+	var cum [][]Lit
+	solves := 0
+	i := 1
+	for i < len(data) && solves < 10 && len(cum) < 48 {
+		op := data[i]
+		i++
+		if op%4 == 0 {
+			// Solve under one assumption derived from the next byte.
+			var assume []Lit
+			if i < len(data) {
 				b := data[i]
 				i++
-				cl = append(cl, MkLit(Var(int(b)%n), b >= 128))
+				assume = []Lit{MkLit(Var(int(b)%n), b >= 128)}
 			}
-			if len(cl) == 0 {
-				break
-			}
-			cum = append(cum, cl)
-			s.AddClause(cl...)
+			checkRound(t, s, n, cum, assume)
+			solves++
+			continue
 		}
-		checkRound(t, s, n, cum, nil)
-	})
+		// Add a clause of 1..3 literals from the following bytes.
+		ln := 1 + int(op)%3
+		var cl []Lit
+		for k := 0; k < ln && i < len(data); k++ {
+			b := data[i]
+			i++
+			cl = append(cl, MkLit(Var(int(b)%n), b >= 128))
+		}
+		if len(cl) == 0 {
+			break
+		}
+		cum = append(cum, cl)
+		s.AddClause(cl...)
+	}
+	checkRound(t, s, n, cum, nil)
+	return s
 }

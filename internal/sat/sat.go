@@ -15,6 +15,36 @@
 // restarts, learnt-clause database reduction, and phase saving. Incremental
 // solving under assumptions is supported so callers can reuse a clause
 // database across related queries.
+//
+// # Clause storage
+//
+// Every clause, problem and learnt alike, lives in one flat, pointer-free
+// arena (a []Lit), so propagation reads a clause's literals from the same
+// cache lines as its header and the garbage collector never scans the
+// clause database. A clause at offset ref is laid out as
+//
+//	arena[ref]                     header: size<<2 | learnt flag | deleted flag
+//	arena[ref+1 : ref+1+size]      the literals, in watch order
+//	arena[ref+1+size]              learnt clauses only: index into learnts
+//
+// and a clauseRef is that offset. Learnt-clause activity lives beside the
+// arena in learntAct, parallel to learnts; the trailing index word is how
+// a clause finds its activity slot.
+//
+// reduceDB marks dropped learnt clauses deleted (after detaching their
+// watchers) and counts their words as wasted. Once the wasted share of the
+// arena passes garbageFrac, compact copies the live clauses, in arena
+// order, into a fresh arena MiniSat-style: each moved clause leaves its new
+// offset behind as a forwarding word, through which the watch lists, the
+// reasons of assigned variables and learnts are rewritten in place,
+// keeping their order.
+//
+// The storage layout is invisible to the search: the watch-list order,
+// literal order within clauses, activities and every tie-break are those
+// of a slice-per-clause implementation, so decisions, propagations,
+// conflicts, learnt clauses, restarts and models do not depend on where
+// clauses sit or when the arena is compacted. The trajectory pin in
+// fixture_test.go holds the counters fixed on a real synthesis CNF.
 package sat
 
 import (
@@ -110,20 +140,29 @@ var ErrStopped = errors.New("sat: solve stopped by caller")
 // portfolio member abandons its solve almost immediately.
 const stopCheckInterval = 256
 
-// clauseRef indexes into the solver's clause arena. The special value
-// refUndef marks "no reason" (decision variables); refBinary+lit encodes a
-// binary-clause reason inline.
+// clauseRef is the arena offset of a clause's header word. The special
+// value refUndef marks "no reason" (decisions, assumptions and level-0
+// units).
 type clauseRef int32
 
 const refUndef clauseRef = -1
 
-// clause is a disjunction of literals plus learnt-clause metadata.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-	deleted  bool
-}
+// Clause header word: the literal count shifted past two flag bits.
+const (
+	hdrDeleted   Lit = 1
+	hdrLearnt    Lit = 2
+	hdrSizeShift     = 2
+)
+
+// Arena maintenance defaults. reduceBase is the slack in the learnt-clause
+// budget (reduceDB runs once learnts outnumber twice the problem clauses
+// plus this); garbageFrac is the wasted share of the arena that triggers
+// compaction. New copies them into per-solver fields, which the package's
+// own tests shrink to force frequent reductions and compactions.
+const (
+	defaultReduceBase  = 10000
+	defaultGarbageFrac = 0.20
+)
 
 // watcher pairs a watched clause with a "blocker" literal whose truth lets
 // propagation skip the clause without touching its literal array.
@@ -170,12 +209,18 @@ func (s Stats) Sub(o Stats) Stats {
 // Solver is a CDCL SAT solver. The zero value is not usable; create one
 // with New.
 type Solver struct {
-	clauses []clause // arena; learnt and problem clauses interleaved
-	learnts []clauseRef
+	arena     []Lit       // every clause, header then literals (see package doc)
+	wasted    int         // arena words held by deleted clauses
+	learnts   []clauseRef // live learnt clauses, oldest first
+	learntAct []float64   // activity of learnts[i]
+
+	reduceBase  int64   // learnt-clause budget slack (defaultReduceBase)
+	garbageFrac float64 // wasted share that triggers compact (defaultGarbageFrac)
+	compactions int     // arena compactions so far
 
 	watches [][]watcher // indexed by Lit
 
-	assign   []lbool // indexed by Var
+	vals     []lbool // indexed by Lit: the literal's current value
 	level    []int32 // decision level per var
 	reason   []clauseRef
 	polarity []bool // phase saving: last assigned sign
@@ -194,7 +239,7 @@ type Solver struct {
 	analyzeT []Lit  // scratch
 	conflLit []Lit  // scratch learnt clause
 
-	model []lbool // snapshot of the assignment at the last Sat result
+	model []lbool // per-Var snapshot of the assignment at the last Sat result
 
 	ok    bool // false once a top-level conflict proves UNSAT
 	stats Stats
@@ -213,9 +258,11 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	s := &Solver{
-		varInc: 1.0,
-		claInc: 1.0,
-		ok:     true,
+		varInc:      1.0,
+		claInc:      1.0,
+		ok:          true,
+		reduceBase:  defaultReduceBase,
+		garbageFrac: defaultGarbageFrac,
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
@@ -223,8 +270,8 @@ func New() *Solver {
 
 // NewVar allocates and returns a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, refUndef)
 	s.polarity = append(s.polarity, true) // default phase: false (negated)
@@ -232,12 +279,12 @@ func (s *Solver) NewVar() Var {
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
-	s.stats.MaxVar = len(s.assign)
+	s.stats.MaxVar = len(s.level)
 	return v
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of live problem clauses.
 func (s *Solver) NumClauses() int { return s.stats.Clauses }
@@ -281,14 +328,7 @@ func (s *Solver) SetStop(fn func() bool) {
 }
 
 // litValue returns the current value of a literal.
-func (s *Solver) litValue(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	// a is lTrue(0) or lFalse(1); negation flips it.
-	return a ^ lbool(l&1)
-}
+func (s *Solver) litValue(l Lit) lbool { return s.vals[l] }
 
 // Value returns the value of v in the most recent satisfying model. It is
 // only meaningful after Solve returned Sat. Unassigned variables (possible
@@ -313,7 +353,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: sort-free dedup and tautology/falsified-literal removal.
 	out := s.conflLit[:0]
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assign) {
+		if int(l.Var()) >= len(s.level) {
 			panic(fmt.Sprintf("sat: clause references unallocated variable %d", l.Var()))
 		}
 		switch s.litValue(l) {
@@ -351,23 +391,45 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	cl := make([]Lit, len(out))
-	copy(cl, out)
-	ref := s.allocClause(cl, false)
+	ref := s.allocClause(out, false)
 	s.attachClause(ref)
 	s.stats.Clauses++
 	return true
 }
 
+// allocClause appends a clause holding a copy of lits to the arena. A
+// learnt clause also joins learnts with zero activity.
 func (s *Solver) allocClause(lits []Lit, learnt bool) clauseRef {
-	ref := clauseRef(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt})
+	ref := clauseRef(len(s.arena))
+	hdr := Lit(len(lits)) << hdrSizeShift
+	if learnt {
+		hdr |= hdrLearnt
+	}
+	s.arena = append(s.arena, hdr)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, Lit(len(s.learnts)))
+		s.learnts = append(s.learnts, ref)
+		s.learntAct = append(s.learntAct, 0)
+	}
 	return ref
 }
 
+// lits returns the literals of the clause at ref, aliasing the arena.
+func (s *Solver) lits(ref clauseRef) []Lit {
+	start := int(ref) + 1
+	return s.arena[start : start+int(s.arena[ref]>>hdrSizeShift)]
+}
+
+// learntSlot returns the index of the learnt clause at ref in learnts and
+// learntAct.
+func (s *Solver) learntSlot(ref clauseRef) int {
+	return int(s.arena[int(ref)+1+int(s.arena[ref]>>hdrSizeShift)])
+}
+
 func (s *Solver) attachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	l0, l1 := c.lits[0], c.lits[1]
+	lits := s.lits(ref)
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{ref, l1})
 	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{ref, l0})
 }
@@ -376,11 +438,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -416,8 +474,7 @@ func (s *Solver) propagate() clauseRef {
 				n++
 				continue
 			}
-			c := &s.clauses[w.ref]
-			lits := c.lits
+			lits := s.lits(w.ref)
 			// Ensure the false literal (p.Not()) is at position 1.
 			if lits[0] == p.Not() {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -468,15 +525,14 @@ func (s *Solver) analyze(confl clauseRef) int {
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.arena[confl]&hdrLearnt != 0 {
 			s.bumpClause(confl)
 		}
 		start := 0
 		if p != -1 {
 			start = 1 // skip the asserting literal of the reason
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -517,7 +573,7 @@ func (s *Solver) analyze(confl clauseRef) int {
 		redundant := false
 		if r != refUndef {
 			redundant = true
-			for _, q := range s.clauses[r].lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if !s.seen[q.Var()] && s.level[q.Var()] != 0 {
 					redundant = false
 					break
@@ -574,7 +630,7 @@ func (s *Solver) analyzeFinal(a Lit) {
 		if r := s.reason[v]; r == refUndef {
 			s.core = append(s.core, s.trail[i])
 		} else {
-			for _, q := range s.clauses[r].lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -607,9 +663,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	bound := int(s.trailLim[lvl])
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.trail[i].Neg()
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = l.Neg()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = refUndef
 		s.order.insert(v)
 	}
@@ -632,11 +689,11 @@ func (s *Solver) bumpVar(v Var) {
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
 
 func (s *Solver) bumpClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, r := range s.learnts {
-			s.clauses[r].activity *= 1e-20
+	i := s.learntSlot(ref)
+	s.learntAct[i] += s.claInc
+	if s.learntAct[i] > 1e20 {
+		for j := range s.learntAct {
+			s.learntAct[j] *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -648,7 +705,7 @@ func (s *Solver) decayClause() { s.claInc /= 0.999 }
 func (s *Solver) pickBranchVar() Var {
 	for !s.order.empty() {
 		v := s.order.removeMax()
-		if s.assign[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return v
 		}
 	}
@@ -656,40 +713,82 @@ func (s *Solver) pickBranchVar() Var {
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
-// active ones and all binary clauses / current reasons.
+// active ones and all binary clauses / current reasons. Removed clauses are
+// detached and marked deleted in place; the arena is compacted once their
+// wasted words pass garbageFrac of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
 	// Partial selection: compute median activity by sampling is overkill at
-	// our scale; sort a copy of activities instead.
-	acts := make([]float64, len(s.learnts))
+	// our scale; select over a copy of the activities instead.
+	med := quickSelectMedian(append([]float64(nil), s.learntAct...))
+	n := 0
 	for i, r := range s.learnts {
-		acts[i] = s.clauses[r].activity
-	}
-	med := quickSelectMedian(acts)
-	kept := s.learnts[:0]
-	for _, r := range s.learnts {
-		c := &s.clauses[r]
-		locked := false
-		if s.litValue(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == r {
-			locked = true
-		}
-		if locked || len(c.lits) <= 2 || c.activity >= med {
-			kept = append(kept, r)
+		lits := s.lits(r)
+		locked := s.litValue(lits[0]) == lTrue && s.reason[lits[0].Var()] == r
+		if act := s.learntAct[i]; locked || len(lits) <= 2 || act >= med {
+			s.learnts[n], s.learntAct[n] = r, act
+			s.arena[int(r)+1+len(lits)] = Lit(n)
+			n++
 			continue
 		}
 		s.detachClause(r)
-		c.deleted = true
-		c.lits = nil
+		s.arena[r] |= hdrDeleted
+		s.wasted += len(lits) + 2
 		s.stats.DeletedLearnt++
 	}
-	s.learnts = kept
+	s.learnts, s.learntAct = s.learnts[:n], s.learntAct[:n]
+	if float64(s.wasted) > s.garbageFrac*float64(len(s.arena)) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses, in arena order, into a fresh arena and
+// rewrites every clause reference — watchers, reasons of assigned
+// variables, learnts — to the new offsets, keeping every list's order. Each
+// moved clause's first literal word in the old arena holds its new offset
+// while the references are rewritten; the old arena is dropped afterwards.
+// Deleted clauses are never referenced (they are detached and never
+// reasons), so no reference reads a forwarding word that was not written.
+func (s *Solver) compact() {
+	from := s.arena
+	live := len(from) - s.wasted
+	to := make([]Lit, 0, live+live/2)
+	for i := 0; i < len(from); {
+		hdr := from[i]
+		n := 1 + int(hdr>>hdrSizeShift)
+		if hdr&hdrLearnt != 0 {
+			n++
+		}
+		if hdr&hdrDeleted == 0 {
+			moved := Lit(len(to))
+			to = append(to, from[i:i+n]...)
+			from[i+1] = moved
+		}
+		i += n
+	}
+	fwd := func(r clauseRef) clauseRef { return clauseRef(from[r+1]) }
+	for _, ws := range s.watches {
+		for k := range ws {
+			ws[k].ref = fwd(ws[k].ref)
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != refUndef {
+			s.reason[l.Var()] = fwd(r)
+		}
+	}
+	for i, r := range s.learnts {
+		s.learnts[i] = fwd(r)
+	}
+	s.arena, s.wasted = to, 0
+	s.compactions++
 }
 
 func (s *Solver) detachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+	lits := s.lits(ref)
+	for _, l := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[l]
 		for i, w := range ws {
 			if w.ref == ref {
@@ -773,7 +872,10 @@ func (s *Solver) SolveWithBudget(budget int64, assumptions ...Lit) (Status, erro
 		maxConfl := luby(restartN) * 100
 		st := s.search(maxConfl, &budget)
 		if st == Sat {
-			s.model = append(s.model[:0], s.assign...)
+			s.model = s.model[:0]
+			for v := 0; v < len(s.level); v++ {
+				s.model = append(s.model, s.vals[PosLit(Var(v))])
+			}
 		}
 		if st != Unknown {
 			return st, nil
@@ -818,10 +920,7 @@ func (s *Solver) search(maxConfl int64, budget *int64) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], refUndef)
 			} else {
-				cl := make([]Lit, len(learnt))
-				copy(cl, learnt)
-				ref := s.allocClause(cl, true)
-				s.learnts = append(s.learnts, ref)
+				ref := s.allocClause(learnt, true)
 				s.attachClause(ref)
 				s.bumpClause(ref)
 				s.stats.Learnt++
@@ -829,7 +928,7 @@ func (s *Solver) search(maxConfl int64, budget *int64) Status {
 			}
 			s.decayVar()
 			s.decayClause()
-			if int64(len(s.learnts)) > int64(s.stats.Clauses)*2+10000 {
+			if int64(len(s.learnts)) > int64(s.stats.Clauses)*2+s.reduceBase {
 				s.reduceDB()
 			}
 			// Poll the stop hook after the conflict is fully resolved

@@ -49,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -516,7 +517,7 @@ func (s *Server) run(j *job) {
 	}
 
 	stopSlowWatch := s.startSlowJobWatch(j)
-	rep, err := s.compile(ctx, j)
+	rep, err := s.compileRecovered(ctx, j)
 	stopSlowWatch()
 
 	rec.Close()
@@ -567,6 +568,21 @@ func (s *Server) run(j *job) {
 	j.feed.close(j.status())
 	s.logJobFinished(j, rep, err, elapsed)
 	s.retire(j.id)
+}
+
+// compileRecovered runs the job's compile with a panic turned into the
+// job's error, so one bad request fails its own job (flight dump, error
+// state, server.jobs.panicked) and leaves the worker serving the queue.
+func (s *Server) compileRecovered(ctx context.Context, j *job) (rep *core.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.metrics.Counter("server.jobs.panicked").Add(1)
+			s.logger.Error("job panicked", "job_id", j.id, "program", j.prog.Name,
+				"fingerprint", shortFP(j.fp), "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			rep, err = nil, fmt.Errorf("internal error: compile panicked: %v", p)
+		}
+	}()
+	return s.compile(ctx, j)
 }
 
 // logJobFinished emits the job's terminal log line, correlated by job_id
@@ -802,7 +818,7 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 		return nil, fmt.Errorf("unknown target %q (want pisa or bpf)", req.Target)
 	}
 	width := req.Width
-	if width <= 0 {
+	if width == 0 {
 		width = 2
 	}
 	// Clamp the requested portfolio parallelism to the server's per-job
@@ -840,6 +856,9 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 		state:  StateQueued,
 		queued: s.now(),
 		done:   make(chan struct{}),
+	}
+	if err := j.opts.Validate(); err != nil {
+		return nil, err
 	}
 	j.fp = core.Fingerprint(prog, j.opts)
 	return j, nil

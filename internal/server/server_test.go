@@ -161,11 +161,75 @@ func TestBadRequests(t *testing.T) {
 		"parse error":  {Name: "x", Source: "if (((("},
 		"bad alu":      {Name: "x", Source: samplingSrc, ALU: "quantum"},
 		"bad target":   {Name: "x", Source: samplingSrc, Target: "riscv"},
+		"width":        {Name: "x", Source: samplingSrc, Width: -1},
+		"synth width":  {Name: "x", Source: samplingSrc, SynthWidth: 33},
+		"verify width": {Name: "x", Source: samplingSrc, VerifyWidth: 64},
+		"max stages":   {Name: "x", Source: samplingSrc, MaxStages: -3},
 	} {
 		resp, _ := postCompile(t, ts, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestOutOfRangeWidthThenValidRequest is the regression for a width that
+// used to panic a worker and with it the daemon: the bad request gets a
+// 400, and the next valid request on the same single worker compiles.
+func TestOutOfRangeWidthThenValidRequest(t *testing.T) {
+	s := New(Config{Workers: 1, JobTimeout: 2 * time.Minute})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bad := compileReq(true)
+	bad.VerifyWidth = 64
+	if resp, _ := postCompile(t, ts, bad); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("verify_width 64: status %d, want 400", resp.StatusCode)
+	}
+	resp, st := postCompile(t, ts, compileReq(true))
+	if resp.StatusCode != http.StatusOK || st.State != StateDone || st.Result == nil || !st.Result.Feasible {
+		t.Fatalf("valid request after the bad one: status %d, state %q, result %+v", resp.StatusCode, st.State, st.Result)
+	}
+}
+
+// TestPanickingJobLeavesWorkerAlive: a compile that panics ends its job in
+// the error state with a flight dump and a server.jobs.panicked count, and
+// the single worker goes on to run the next job.
+func TestPanickingJobLeavesWorkerAlive(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, TraceDir: dir})
+	defer s.Shutdown(context.Background())
+	s.compile = func(ctx context.Context, j *job) (*core.Report, error) {
+		if j.prog.Name == "boom" {
+			_, span := obs.StartSpan(ctx, "compile")
+			span.End()
+			panic("encoder invariant broken")
+		}
+		return &core.Report{Program: j.prog.Name, Feasible: true}, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := compileReq(true)
+	req.Name = "boom"
+	resp, st := postCompile(t, ts, req)
+	if resp.StatusCode != http.StatusOK || st.State != StateError {
+		t.Fatalf("panicking job: status %d, state %q, want 200 and %q", resp.StatusCode, st.State, StateError)
+	}
+	if !strings.Contains(st.Error, "panicked") || !strings.Contains(st.Error, "encoder invariant broken") {
+		t.Errorf("job error %q does not report the panic", st.Error)
+	}
+	if st.FlightDump == "" || len(st.Flight) == 0 {
+		t.Errorf("panicking job left no flight record: dump %q, %d entries", st.FlightDump, len(st.Flight))
+	}
+	if got := s.Metrics().Counter("server.jobs.panicked").Value(); got != 1 {
+		t.Errorf("server.jobs.panicked = %d, want 1", got)
+	}
+
+	resp, st = postCompile(t, ts, compileReq(true))
+	if resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("job after the panic: status %d, state %q", resp.StatusCode, st.State)
 	}
 }
 
