@@ -119,6 +119,7 @@ func TestCLIChipmunkRejectsOutOfRangeOptions(t *testing.T) {
 		{[]string{"-synth-width", "33"}, "synth width"},
 		{[]string{"-width", "0"}, "pisa width 0"},
 		{[]string{"-width", "-2"}, "pisa width -2"},
+		{[]string{"-width", "1000"}, "pisa width 1000"},
 	} {
 		args := append(append([]string{}, tc.args...), samplingPath(t))
 		out, err := exec.Command(bin, args...).CombinedOutput()

@@ -109,7 +109,7 @@ func TestStatefulCircuitMatchesConcrete(t *testing.T) {
 		symHoles := map[string]circuit.Word{}
 		for _, d := range s.Holes() {
 			// Holes enter zero-extended to the datapath width.
-			narrow := b.InputWord("hole_"+d.Name, word.Width(d.Bits))
+			narrow := b.InputWord(word.Width(d.Bits))
 			wide := make(circuit.Word, w)
 			copy(wide, narrow)
 			for i := d.Bits; i < int(w); i++ {
@@ -119,11 +119,11 @@ func TestStatefulCircuitMatchesConcrete(t *testing.T) {
 		}
 		symState := make([]circuit.Word, s.NumStates())
 		for i := range symState {
-			symState[i] = b.InputWord("state", w)
+			symState[i] = b.InputWord(w)
 		}
 		symPkt := make([]circuit.Word, s.NumPacketOperands())
 		for i := range symPkt {
-			symPkt[i] = b.InputWord("pkt", w)
+			symPkt[i] = b.InputWord(w)
 		}
 		holeWords := map[string]circuit.Word{}
 		for _, d := range s.Holes() {
@@ -189,7 +189,7 @@ func TestStatelessCircuitMatchesConcrete(t *testing.T) {
 	narrow := map[string]circuit.Word{}
 	symHoles := map[string]circuit.Word{}
 	for _, d := range defs {
-		nw := b.InputWord("hole_"+d.Name, word.Width(d.Bits))
+		nw := b.InputWord(word.Width(d.Bits))
 		narrow[d.Name] = nw
 		wide := make(circuit.Word, w)
 		copy(wide, nw)
@@ -198,8 +198,8 @@ func TestStatelessCircuitMatchesConcrete(t *testing.T) {
 		}
 		symHoles[d.Name] = wide
 	}
-	opA := b.InputWord("a", w)
-	opB := b.InputWord("b", w)
+	opA := b.InputWord(w)
+	opB := b.InputWord(w)
 	outSym := EvalStateless[circuit.Word](circ, symHoles, opA, opB)
 
 	for trial := 0; trial < 400; trial++ {

@@ -229,12 +229,12 @@ func verify(ctx context.Context, prog *ast.Program, cfg *pisa.Config, care ast.E
 	env := arith.NewEnv[circuit.Word]()
 	fw := make([]circuit.Word, len(fields))
 	for i, f := range fields {
-		fw[i] = b.InputWord("pkt."+f, w)
+		fw[i] = b.InputWord(w)
 		env.Pkt[f] = fw[i]
 	}
 	swd := make([]circuit.Word, len(states))
 	for i, s := range states {
-		swd[i] = b.InputWord(s, w)
+		swd[i] = b.InputWord(w)
 		env.State[s] = swd[i]
 	}
 

@@ -101,8 +101,8 @@ func TestCircMatchesConc(t *testing.T) {
 	const w = word.Width(3)
 	b := circuit.New()
 	cc := Circ{B: b, W: w}
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 
 	type probe struct {
 		op    ast.Op
@@ -256,12 +256,12 @@ func TestCircProgramMatchesInterp(t *testing.T) {
 		env := NewEnv[circuit.Word]()
 		inputs := map[string]circuit.Word{}
 		for _, f := range []string{"a", "b", "c"} {
-			wd := b.InputWord("pkt."+f, w)
+			wd := b.InputWord(w)
 			env.Pkt[f] = wd
 			inputs["pkt."+f] = wd
 		}
 		for _, s := range []string{"s", "t"} {
-			wd := b.InputWord(s, w)
+			wd := b.InputWord(w)
 			env.State[s] = wd
 			inputs[s] = wd
 		}

@@ -319,12 +319,12 @@ func checkSymbolicAgreement(t *testing.T, cfg backend.Config, seed int64) {
 	ww := cfg.RunWidth()
 	b := circuit.New()
 	fw := make([]circuit.Word, len(fields))
-	for i, f := range fields {
-		fw[i] = b.InputWord("pkt_"+f, ww)
+	for i := range fields {
+		fw[i] = b.InputWord(ww)
 	}
 	sw := make([]circuit.Word, len(states))
-	for i, s := range states {
-		sw[i] = b.InputWord("state_"+s, ww)
+	for i := range states {
+		sw[i] = b.InputWord(ww)
 	}
 	outF, outS := cfg.Symbolic(b, ww, fw, sw)
 	rng := rand.New(rand.NewSource(seed))

@@ -94,7 +94,7 @@ func NewSketch(b *circuit.Builder, spec MachineSpec, numFields, numStates int) *
 			if !data && bits > minWidth {
 				minWidth = bits
 			}
-			hw := b.InputWord(name, word.Width(bits))
+			hw := b.InputWord(word.Width(bits))
 			s.holeWords = append(s.holeWords, hw)
 			return hw
 		})

@@ -366,50 +366,10 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		synthCNF.Touch(holeWords...)
 	}
 
-	// addTest encodes one concrete test input: instantiate the datapath at
-	// the input's width with constant inputs and assert equality with the
-	// specification's concrete outputs.
-	//
-	// Every canonical variable is materialized in the snapshot first. State
-	// entries absent from the input would otherwise diverge: the datapath
-	// side reads a missing map key as 0, while the interpreter seeds the
-	// variable from the program's Init declaration — yielding a constraint
-	// pipeline(0) == spec(Init) that contradicts later counterexamples and
-	// drives synthesis to a bogus UNSAT for any program with a nonzero
-	// initializer. Feasibility is a property of the transfer function over
-	// free state inputs (exactly how verify encodes it); Init only sets a
-	// register's deployed initial contents.
+	// addTest encodes one concrete test input (see encodeTest) and counts it.
 	addTest := func(x interp.Snapshot, w word.Width) error {
-		x = x.Clone()
-		for _, f := range fields {
-			if _, ok := x.Pkt[f]; !ok {
-				x.Pkt[f] = 0
-			}
-		}
-		for _, s := range states {
-			if _, ok := x.State[s]; !ok {
-				x.State[s] = 0
-			}
-		}
-		in := interp.MustNew(w)
-		specOut, err := in.Run(prog, x)
-		if err != nil {
+		if err := encodeTest(b, sk, synthCNF, prog, fields, states, x, w); err != nil {
 			return err
-		}
-		fw := make([]circuit.Word, len(fields))
-		for i, f := range fields {
-			fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
-		}
-		sw := make([]circuit.Word, len(states))
-		for i, s := range states {
-			sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
-		}
-		outF, outS := sk.Instantiate(w, fw, sw)
-		for i, f := range fields {
-			synthCNF.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
-		}
-		for i, s := range states {
-			synthCNF.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
 		}
 		res.Tests++
 		reg.Counter("cegis.tests").Add(1)
@@ -579,6 +539,54 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 	return res, fmt.Errorf("cegis: no convergence after %d iterations (%d tests)", res.Iters, res.Tests)
 }
 
+// encodeTest encodes one concrete test input into the synthesis CNF:
+// instantiate the datapath at the input's width with constant inputs and
+// assert equality with the specification's concrete outputs.
+//
+// Every canonical variable is materialized in the snapshot first. State
+// entries absent from the input would otherwise diverge: the datapath
+// side reads a missing map key as 0, while the interpreter seeds the
+// variable from the program's Init declaration — yielding a constraint
+// pipeline(0) == spec(Init) that contradicts later counterexamples and
+// drives synthesis to a bogus UNSAT for any program with a nonzero
+// initializer. Feasibility is a property of the transfer function over
+// free state inputs (exactly how verify encodes it); Init only sets a
+// register's deployed initial contents.
+func encodeTest(b *circuit.Builder, sk backend.Sketch, cnf *circuit.CNF, prog *ast.Program, fields, states []string, x interp.Snapshot, w word.Width) error {
+	x = x.Clone()
+	for _, f := range fields {
+		if _, ok := x.Pkt[f]; !ok {
+			x.Pkt[f] = 0
+		}
+	}
+	for _, s := range states {
+		if _, ok := x.State[s]; !ok {
+			x.State[s] = 0
+		}
+	}
+	in := interp.MustNew(w)
+	specOut, err := in.Run(prog, x)
+	if err != nil {
+		return err
+	}
+	fw := make([]circuit.Word, len(fields))
+	for i, f := range fields {
+		fw[i] = b.ConstWord(w.Trunc(x.Pkt[f]), w)
+	}
+	sw := make([]circuit.Word, len(states))
+	for i, s := range states {
+		sw[i] = b.ConstWord(w.Trunc(x.State[s]), w)
+	}
+	outF, outS := sk.Instantiate(w, fw, sw)
+	for i, f := range fields {
+		cnf.Assert(b.EqW(outF[i], b.ConstWord(specOut.Pkt[f], w)))
+	}
+	for i, s := range states {
+		cnf.Assert(b.EqW(outS[i], b.ConstWord(specOut.State[s], w)))
+	}
+	return nil
+}
+
 // verifyOutcome carries one verification query's result and effort.
 type verifyOutcome struct {
 	cex      interp.Snapshot
@@ -591,22 +599,22 @@ type verifyOutcome struct {
 	clauses int
 }
 
-// verify searches for an input on which the configured machine and the
-// specification disagree at width w. It returns the counterexample if one
-// exists.
-func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width, progress func(string, sat.Stats)) verifyOutcome {
-	b := circuit.New()
+// encodeMiter builds on b the verification miter at width w: free input
+// words for every field and state variable, the configured machine and the
+// specification over them, and the bit that holds when all their outputs
+// agree. verify asserts that bit false.
+func encodeMiter(b *circuit.Builder, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width) (fw, sw []circuit.Word, equal circuit.Bit) {
 	cc := arith.Circ{B: b, W: w}
 
-	fw := make([]circuit.Word, len(fields))
+	fw = make([]circuit.Word, len(fields))
 	env := arith.NewEnv[circuit.Word]()
 	for i, f := range fields {
-		fw[i] = b.InputWord("pkt."+f, w)
+		fw[i] = b.InputWord(w)
 		env.Pkt[f] = fw[i]
 	}
-	sw := make([]circuit.Word, len(states))
+	sw = make([]circuit.Word, len(states))
 	for i, s := range states {
-		sw[i] = b.InputWord(s, w)
+		sw[i] = b.InputWord(w)
 		env.State[s] = sw[i]
 	}
 
@@ -623,7 +631,7 @@ func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, 
 		panic(fmt.Sprintf("cegis: spec encoding failed: %v", err))
 	}
 
-	equal := circuit.True
+	equal = circuit.True
 	for i, f := range fields {
 		specW := specEnv.Pkt[f]
 		equal = b.And(equal, b.EqW(pipeF[i], specW))
@@ -632,6 +640,15 @@ func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, 
 		specW := specEnv.State[s]
 		equal = b.And(equal, b.EqW(pipeS[i], specW))
 	}
+	return fw, sw, equal
+}
+
+// verify searches for an input on which the configured machine and the
+// specification disagree at width w. It returns the counterexample if one
+// exists.
+func verify(ctx context.Context, prog *ast.Program, cfg backend.Config, fields, states []string, w word.Width, progress func(string, sat.Stats)) verifyOutcome {
+	b := circuit.New()
+	fw, sw, equal := encodeMiter(b, prog, cfg, fields, states, w)
 
 	solver := sat.New()
 	if fn := contextStop(ctx); fn != nil {

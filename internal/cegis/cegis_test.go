@@ -315,7 +315,7 @@ func figure1Synthesize(t *testing.T, withPlusX bool) (bool, uint64) {
 	t.Helper()
 	const w = word.Width(8)
 	b := circuit.New()
-	hole := b.InputWord("h", 2) // ??(2): a 2-bit hole
+	hole := b.InputWord(2) // ??(2): a 2-bit hole
 
 	synthSolver := sat.New()
 	synthCNF := circuit.NewCNF(b, synthSolver)

@@ -15,10 +15,31 @@
 // Gates are converted to clauses via the Tseitin transformation, restricted
 // to the cone of influence of the asserted outputs, so large sketches with
 // unused datapath pieces do not bloat the CNF.
+//
+// # Storage
+//
+// A gate is a pointer-free 16-byte record in one slice, indexed by its Bit,
+// so the garbage collector never scans the DAG. Structural hashing
+// ("strash") of And, Xor and Mux gates uses an open-addressed table of
+// gate IDs with linear probing: a probe compares the candidate against
+// the gate record the slot names, and the table doubles once half its
+// slots are full. Not gates bypass the table: each node's complement is
+// kept in a side array, so Not, which And and Xor call on every operand
+// for their complement check, is one array read.
+//
+// Gate IDs are not an internal detail. And and Xor order their operands by
+// ID, and the Tseitin encoder numbers SAT variables and emits clauses in
+// the order it walks the DAG, so the IDs fix the clause stream the solver
+// sees and with it the whole search. A change to the builder must create
+// every gate at the same moment as before (in particular, Not creates its
+// gate on the first request for a node's complement, including the
+// requests made by And and Xor); TestEncodingStreamPinned in
+// internal/cegis pins the stream by digest.
 package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/sat"
@@ -46,50 +67,76 @@ const (
 	opMux // a ? b : c
 )
 
+// gate is one DAG node. It holds no pointers and packs into 16 bytes, so
+// the gate slice is one flat allocation the garbage collector never scans.
 type gate struct {
-	op      gateOp
 	a, b, c Bit
-	name    string // inputs only, for diagnostics
+	op      gateOp
+}
+
+// hash mixes a gate's operator and operands into a strash-table index.
+func (g gate) hash() uint32 {
+	h := uint32(g.a)*0x9e3779b1 ^ uint32(g.b)*0x85ebca77 ^ uint32(g.c)*0xc2b2ae3d ^ uint32(g.op)
+	return h ^ h>>15
 }
 
 // Word is a little-endian vector of bits representing a two's-complement
 // integer of len(Word) bits.
 type Word []Bit
 
+// initialTable is the strash table's starting slot count (a power of two).
+const initialTable = 1 << 10
+
 // Builder accumulates a circuit. The zero value is not usable; call New.
 type Builder struct {
-	gates  []gate
-	hash   map[[4]int32]Bit
-	inputs []Bit
+	gates []gate
+	// table is the structural-hashing (strash) table for And, Xor and Mux
+	// gates: open addressing with linear probing over gate IDs, compared
+	// against gates[id]. False (0) marks an empty slot; constants are never
+	// interned. It doubles once it is half full.
+	table []Bit
+	used  int // occupied table slots
+	// compl[n] is the existing complement of node n — the Not gate over n,
+	// or for a Not gate its operand — and False while n has none.
+	compl []Bit
 }
 
 // New returns an empty circuit builder.
 func New() *Builder {
-	b := &Builder{hash: make(map[[4]int32]Bit)}
-	b.gates = append(b.gates,
-		gate{op: opConst}, // False
-		gate{op: opConst}, // True
-	)
-	return b
+	return &Builder{
+		gates: make([]gate, 2, initialTable), // False and True: zero gates are opConst
+		table: make([]Bit, initialTable),
+		compl: make([]Bit, 2, initialTable),
+	}
 }
 
 // NumGates returns the number of nodes in the DAG (including constants and
 // inputs), a proxy for sketch size used in evaluation reports.
 func (b *Builder) NumGates() int { return len(b.gates) }
 
-// Input allocates a fresh single-bit input.
-func (b *Builder) Input(name string) Bit {
+// newGate appends g to the DAG and returns its ID.
+func (b *Builder) newGate(g gate) Bit {
+	if len(b.gates) == cap(b.gates) {
+		// Double, rather than let append grow a large slice by 1.25x.
+		b.gates = slices.Grow(b.gates, len(b.gates))
+		b.compl = slices.Grow(b.compl, len(b.compl))
+	}
 	bit := Bit(len(b.gates))
-	b.gates = append(b.gates, gate{op: opInput, name: name})
-	b.inputs = append(b.inputs, bit)
+	b.gates = append(b.gates, g)
+	b.compl = append(b.compl, False)
 	return bit
 }
 
-// InputWord allocates a w-bit input word named name (bit i is name[i]).
-func (b *Builder) InputWord(name string, w word.Width) Word {
+// Input allocates a fresh single-bit input.
+func (b *Builder) Input() Bit {
+	return b.newGate(gate{op: opInput})
+}
+
+// InputWord allocates a w-bit input word.
+func (b *Builder) InputWord(w word.Width) Word {
 	bits := make(Word, w)
 	for i := range bits {
-		bits[i] = b.Input(fmt.Sprintf("%s[%d]", name, i))
+		bits[i] = b.Input()
 	}
 	return bits
 }
@@ -111,18 +158,42 @@ func (b *Builder) ConstWord(v uint64, w word.Width) Word {
 	return bits
 }
 
+// intern returns the existing node structurally equal to g, or adds g.
 func (b *Builder) intern(g gate) Bit {
-	key := [4]int32{int32(g.op), int32(g.a), int32(g.b), int32(g.c)}
-	if bit, ok := b.hash[key]; ok {
-		return bit
+	mask := uint32(len(b.table) - 1)
+	i := g.hash() & mask
+	for ; b.table[i] != False; i = (i + 1) & mask {
+		if id := b.table[i]; b.gates[id] == g {
+			return id
+		}
 	}
-	bit := Bit(len(b.gates))
-	b.gates = append(b.gates, g)
-	b.hash[key] = bit
+	bit := b.newGate(g)
+	b.table[i] = bit
+	if b.used++; 2*b.used > len(b.table) {
+		b.growTable()
+	}
 	return bit
 }
 
-// Not returns the complement of a.
+// growTable doubles the strash table and reinserts every entry.
+func (b *Builder) growTable() {
+	old := b.table
+	b.table = make([]Bit, 2*len(old))
+	mask := uint32(len(b.table) - 1)
+	for _, id := range old {
+		if id == False {
+			continue
+		}
+		i := b.gates[id].hash() & mask
+		for b.table[i] != False {
+			i = (i + 1) & mask
+		}
+		b.table[i] = id
+	}
+}
+
+// Not returns the complement of a. A Not gate is created the first time a
+// node's complement is asked for; a Not gate's complement is its operand.
 func (b *Builder) Not(a Bit) Bit {
 	switch a {
 	case False:
@@ -130,11 +201,12 @@ func (b *Builder) Not(a Bit) Bit {
 	case True:
 		return False
 	}
-	// Double negation elimination.
-	if g := b.gates[a]; g.op == opNot {
-		return g.a
+	if n := b.compl[a]; n != False {
+		return n
 	}
-	return b.intern(gate{op: opNot, a: a})
+	n := b.newGate(gate{op: opNot, a: a})
+	b.compl[a], b.compl[n] = n, a
+	return n
 }
 
 // And returns a AND b with constant folding and idempotence rules.
@@ -433,9 +505,9 @@ func (b *Builder) shift(x, y Word, left bool) Word {
 // --- Concrete evaluation ---------------------------------------------------
 
 // Eval computes the value of each requested bit given concrete input values.
-// Inputs not present in the map default to false. It is used by tests to
-// cross-check the circuit against the reference word semantics, and by CEGIS
-// to evaluate specifications.
+// Inputs not present in the map default to false. It backs EvalWord and
+// lets tests cross-check the circuit against the reference word semantics;
+// the CEGIS loop itself never evaluates circuits concretely.
 func (b *Builder) Eval(inputs map[Bit]bool, outs ...Bit) []bool {
 	vals := make([]int8, len(b.gates)) // -1 unknown, 0 false, 1 true
 	for i := range vals {
@@ -561,8 +633,11 @@ func (c *CNF) addClause(lits ...sat.Lit) {
 // Lit returns a SAT literal equivalent to circuit bit n, encoding the cone
 // of influence on first use.
 func (c *CNF) Lit(n Bit) sat.Lit {
-	for len(c.vars) < len(c.b.gates) {
-		c.vars = append(c.vars, -1)
+	if size, old := len(c.b.gates), len(c.vars); old < size {
+		c.vars = slices.Grow(c.vars, size-old)[:size]
+		for i := old; i < size; i++ {
+			c.vars[i] = -1
+		}
 	}
 	return c.lit(n)
 }

@@ -14,8 +14,8 @@ import (
 func evalBinop(t *testing.T, w word.Width, op func(b *Builder, x, y Word) Word, a, bv uint64) uint64 {
 	t.Helper()
 	b := New()
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 	out := op(b, x, y)
 	in := map[Bit]bool{}
 	SetWordInputs(in, x, a)
@@ -29,8 +29,8 @@ func exhaustive4(t *testing.T, name string, op func(b *Builder, x, y Word) Word,
 	t.Helper()
 	const w = word.Width(4)
 	b := New()
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 	out := op(b, x, y)
 	for a := uint64(0); a < 16; a++ {
 		for c := uint64(0); c < 16; c++ {
@@ -86,7 +86,7 @@ func TestComparisonsExhaustive(t *testing.T) {
 func TestNegNotExhaustive(t *testing.T) {
 	const w = word.Width(5)
 	b := New()
-	x := b.InputWord("x", w)
+	x := b.InputWord(w)
 	neg := b.NegW(x)
 	not := b.NotW(x)
 	nz := b.BoolToWord(b.NonZero(x), w)
@@ -110,8 +110,8 @@ func TestNegNotExhaustive(t *testing.T) {
 func TestWideOpsQuick(t *testing.T) {
 	const w = word.Width(10)
 	b := New()
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 	add := b.AddW(x, y)
 	sub := b.SubW(x, y)
 	mul := b.MulW(x, y)
@@ -134,9 +134,9 @@ func TestWideOpsQuick(t *testing.T) {
 func TestMuxWord(t *testing.T) {
 	const w = word.Width(6)
 	b := New()
-	s := b.Input("s")
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	s := b.Input()
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 	m := b.MuxW(s, x, y)
 	for _, sel := range []bool{false, true} {
 		in := map[Bit]bool{s: sel}
@@ -154,7 +154,7 @@ func TestMuxWord(t *testing.T) {
 
 func TestConstantFolding(t *testing.T) {
 	b := New()
-	x := b.Input("x")
+	x := b.Input()
 	if b.And(x, False) != False || b.And(False, x) != False {
 		t.Fatal("AND with false should fold")
 	}
@@ -186,7 +186,7 @@ func TestConstantFolding(t *testing.T) {
 
 func TestStructuralHashing(t *testing.T) {
 	b := New()
-	x, y := b.Input("x"), b.Input("y")
+	x, y := b.Input(), b.Input()
 	a1 := b.And(x, y)
 	a2 := b.And(y, x) // commuted operands must hash to the same node
 	if a1 != a2 {
@@ -199,6 +199,116 @@ func TestStructuralHashing(t *testing.T) {
 	}
 }
 
+// TestStrashProperties builds random word arithmetic until the strash table
+// has doubled several times, checking Eval against internal/word on random
+// inputs across every growth, then checks that rebuilding each gate (And
+// and Xor with operands commuted) finds the existing node and that every
+// node's double complement is itself.
+func TestStrashProperties(t *testing.T) {
+	const w = word.Width(8)
+	ops := []struct {
+		circ func(b *Builder, x, y Word) Word
+		ref  func(w word.Width, a, b uint64) uint64
+	}{
+		{(*Builder).AddW, word.Width.Add},
+		{(*Builder).SubW, word.Width.Sub},
+		{(*Builder).MulW, word.Width.Mul},
+		{(*Builder).AndW, word.Width.And},
+		{(*Builder).OrW, word.Width.Or},
+		{(*Builder).XorW, word.Width.Xor},
+		{(*Builder).ShrW, word.Width.Shr},
+	}
+	rng := rand.New(rand.NewSource(7))
+	b := New()
+	const trials = 16
+	inputs := make([]map[Bit]bool, trials)
+	for i := range inputs {
+		inputs[i] = map[Bit]bool{}
+	}
+	var pool []Word
+	var refs [][trials]uint64 // refs[k][i]: pool[k]'s value under inputs[i]
+	for k := 0; k < 4; k++ {
+		x := b.InputWord(w)
+		var r [trials]uint64
+		for i := range inputs {
+			r[i] = w.Trunc(rng.Uint64())
+			SetWordInputs(inputs[i], x, r[i])
+		}
+		pool, refs = append(pool, x), append(refs, r)
+	}
+	checkPool := func(when string) {
+		t.Helper()
+		var outs []Bit
+		for _, x := range pool {
+			outs = append(outs, x...)
+		}
+		for i, in := range inputs {
+			got := b.Eval(in, outs...)
+			for k := range pool {
+				var v uint64
+				for j := 0; j < int(w); j++ {
+					if got[k*int(w)+j] {
+						v |= 1 << uint(j)
+					}
+				}
+				if v != refs[k][i] {
+					t.Fatalf("%s: word %d under input %d = %d, want %d", when, k, i, v, refs[k][i])
+				}
+			}
+		}
+	}
+	growths := 0
+	for growths < 4 {
+		if len(pool) > 2000 {
+			t.Fatalf("strash table grew only %d times over %d words", growths, len(pool))
+		}
+		op := ops[rng.Intn(len(ops))]
+		x, y := rng.Intn(len(pool)), rng.Intn(len(pool))
+		size := len(b.table)
+		if size != initialTable<<growths {
+			t.Fatalf("table has %d slots, want %d", size, initialTable<<growths)
+		}
+		checkPool("before growth")
+		pool = append(pool, op.circ(b, pool[x], pool[y]))
+		var r [trials]uint64
+		for i := range r {
+			r[i] = op.ref(w, refs[x][i], refs[y][i])
+		}
+		refs = append(refs, r)
+		if len(b.table) != size {
+			growths++
+			checkPool("after growth")
+		}
+	}
+
+	n := Bit(b.NumGates())
+	for id := Bit(2); id < n; id++ {
+		g := b.gates[id]
+		var again Bit
+		switch g.op {
+		case opInput:
+			continue
+		case opAnd:
+			again = b.And(g.b, g.a)
+		case opXor:
+			again = b.Xor(g.b, g.a)
+		case opMux:
+			again = b.Mux(g.a, g.b, g.c)
+		case opNot:
+			again = b.Not(g.a)
+		}
+		if again != id {
+			t.Fatalf("rebuilding gate %d (%+v) returned %d", id, g, again)
+		}
+	}
+	for id := Bit(0); id < n; id++ {
+		if got := b.Not(b.Not(id)); got != id {
+			t.Fatalf("Not(Not(%d)) = %d", id, got)
+		}
+	}
+	checkPool("after rebuild")
+}
+
 // TestTseitinAgainstEval is the bit-blasting soundness property: for random
 // circuits, assert the output, solve, and check that the model's inputs
 // actually make the output true under concrete evaluation.
@@ -209,7 +319,7 @@ func TestTseitinAgainstEval(t *testing.T) {
 		nIn := 3 + rng.Intn(5)
 		nodes := make([]Bit, 0, 40)
 		for i := 0; i < nIn; i++ {
-			nodes = append(nodes, b.Input("i"))
+			nodes = append(nodes, b.Input())
 		}
 		for i := 0; i < 25; i++ {
 			a := nodes[rng.Intn(len(nodes))]
@@ -266,8 +376,8 @@ func TestTseitinAgainstEval(t *testing.T) {
 func TestTseitinAddEquivalence(t *testing.T) {
 	const w = word.Width(8)
 	b := New()
-	x := b.InputWord("x", w)
-	y := b.InputWord("y", w)
+	x := b.InputWord(w)
+	y := b.InputWord(w)
 	lhs := b.AddW(x, y)
 	rhs := b.AddW(y, x)
 	s := sat.New()
@@ -283,7 +393,7 @@ func TestTseitinAddEquivalence(t *testing.T) {
 func TestTseitinFindsSolution(t *testing.T) {
 	const w = word.Width(8)
 	b := New()
-	x := b.InputWord("x", w)
+	x := b.InputWord(w)
 	sum := b.AddW(x, b.ConstWord(3, w))
 	eq := b.EqW(sum, b.ConstWord(10, w))
 	s := sat.New()
@@ -302,7 +412,7 @@ func TestTseitinFindsSolution(t *testing.T) {
 func TestTseitinUnsatEquation(t *testing.T) {
 	const w = word.Width(8)
 	b := New()
-	x := b.InputWord("x", w)
+	x := b.InputWord(w)
 	dbl := b.AddW(x, x)
 	eq := b.EqW(dbl, b.ConstWord(1, w))
 	s := sat.New()
@@ -338,16 +448,16 @@ func TestWidthMismatchPanics(t *testing.T) {
 		}
 	}()
 	b := New()
-	x := b.InputWord("x", 4)
-	y := b.InputWord("y", 5)
+	x := b.InputWord(4)
+	y := b.InputWord(5)
 	b.AddW(x, y)
 }
 
 func BenchmarkBuildAdder32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bld := New()
-		x := bld.InputWord("x", 32)
-		y := bld.InputWord("y", 32)
+		x := bld.InputWord(32)
+		y := bld.InputWord(32)
 		_ = bld.AddW(x, y)
 	}
 }
@@ -355,8 +465,8 @@ func BenchmarkBuildAdder32(b *testing.B) {
 func BenchmarkTseitinMul10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bld := New()
-		x := bld.InputWord("x", 10)
-		y := bld.InputWord("y", 10)
+		x := bld.InputWord(10)
+		y := bld.InputWord(10)
 		m := bld.MulW(x, y)
 		s := sat.New()
 		cnf := NewCNF(bld, s)
@@ -372,8 +482,8 @@ func TestCNFEncodingSizeCounters(t *testing.T) {
 	if cnf.NumVars() != 0 || cnf.NumClauses() != 0 {
 		t.Fatalf("fresh CNF reports vars=%d clauses=%d", cnf.NumVars(), cnf.NumClauses())
 	}
-	x := b.InputWord("x", 4)
-	y := b.InputWord("y", 4)
+	x := b.InputWord(4)
+	y := b.InputWord(4)
 	cnf.Assert(b.EqW(b.AddW(x, y), b.ConstWord(5, 4)))
 	if cnf.NumVars() == 0 || cnf.NumClauses() == 0 {
 		t.Fatalf("encoding produced vars=%d clauses=%d", cnf.NumVars(), cnf.NumClauses())

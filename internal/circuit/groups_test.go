@@ -13,7 +13,7 @@ func TestGroupsBlameConflictingAssertions(t *testing.T) {
 	c := NewCNF(b, s)
 	c.EnableGroups()
 
-	x := b.InputWord("x", 4)
+	x := b.InputWord(4)
 	c.SetGroup("wants-3")
 	c.Assert(b.EqW(x, b.ConstWord(3, 4)))
 	c.SetGroup("wants-5")
@@ -60,7 +60,7 @@ func TestGroupFalseAssertionBlamesOnlyItself(t *testing.T) {
 	c := NewCNF(b, s)
 	c.EnableGroups()
 
-	x := b.Input("x")
+	x := b.Input()
 	c.SetGroup("fine")
 	c.Assert(x)
 	c.SetGroup("impossible")
@@ -91,7 +91,7 @@ func TestGroupsOffByDefaultIsUngated(t *testing.T) {
 		b := New()
 		s := sat.New()
 		c := NewCNF(b, s)
-		x := b.InputWord("x", word.Width(3))
+		x := b.InputWord(word.Width(3))
 		if withSetGroup {
 			c.SetGroup("ignored")
 		}

@@ -54,7 +54,7 @@ type Options struct {
 	// Width is the PHV width: containers and ALUs per stage. Must cover
 	// the program's packet fields (one container per field, §3.1).
 	// Ignored by the bpf target, whose register file is derived from the
-	// program's field count.
+	// program's field count. At most MaxPISAWidth.
 	Width int
 	// MaxStages bounds the iterative-deepening search. 0 means 4.
 	MaxStages int
@@ -154,12 +154,22 @@ func (o *Options) targetName() string {
 	return o.Target
 }
 
+// MaxPISAWidth is the widest PHV a pisa compile accepts. Building the
+// sketch and loading its hole domains and seed tests into the solver does
+// not stop at the compile deadline, and it costs more the wider the PHV,
+// so past this width a compile outruns its timeout. Measured with
+// `chipmunk -max-stages 1 -timeout 2s testdata/sampling.domino` on a
+// 2-vCPU x86-64 host: width 128 compiles in 2.0 s, width 384 reports its
+// timeout at 4.1 s and width 1000 at 8.7 s. The corpus programs use
+// widths 2 and 3.
+const MaxPISAWidth = 128
+
 // ErrInvalidOptions reports option values no compile can honour.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // Validate rejects option values no compile can honour before any work
-// starts: a negative stage or slot bound, a pisa PHV width below one, or a
-// CEGIS tier width outside the range word.Width supports. Zero keeps each
+// starts: a negative stage or slot bound, a pisa PHV width below one or
+// above MaxPISAWidth, or a CEGIS tier width outside the range word.Width supports. Zero keeps each
 // default. Errors wrap ErrInvalidOptions. Compile calls it first, so bad
 // input from any caller is an error rather than a panic deep in encoding;
 // the CLI reports it as a usage error and chipmunkd as a 400.
@@ -169,6 +179,9 @@ func (o Options) Validate() error {
 	}
 	if o.targetName() == "pisa" && o.Width < 1 {
 		return fmt.Errorf("%w: pisa width %d, need at least 1", ErrInvalidOptions, o.Width)
+	}
+	if o.targetName() == "pisa" && o.Width > MaxPISAWidth {
+		return fmt.Errorf("%w: pisa width %d, at most %d", ErrInvalidOptions, o.Width, MaxPISAWidth)
 	}
 	for _, tier := range []struct {
 		name string

@@ -95,7 +95,7 @@ func TestDatapathSymbolicMatchesConcrete(t *testing.T) {
 		circ := arith.Circ{B: b, W: w}
 		holeInputs := map[string]circuit.Word{}
 		symHoles := NewHoles[circuit.Word](g, false, len(fields), func(name string, bits int, data bool) circuit.Word {
-			in := b.InputWord(name, word.Width(bits))
+			in := b.InputWord(word.Width(bits))
 			holeInputs[name] = in
 			wide := make(circuit.Word, w)
 			copy(wide, in)
@@ -104,8 +104,8 @@ func TestDatapathSymbolicMatchesConcrete(t *testing.T) {
 			}
 			return wide
 		})
-		symFields := []circuit.Word{b.InputWord("f0", w), b.InputWord("f1", w)}
-		symStates := []circuit.Word{b.InputWord("s0", w)}
+		symFields := []circuit.Word{b.InputWord(w), b.InputWord(w)}
+		symStates := []circuit.Word{b.InputWord(w)}
 		outF, outS := Datapath[circuit.Word](circ, g, symHoles, symFields, symStates)
 
 		for trial := 0; trial < 40; trial++ {

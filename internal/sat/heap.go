@@ -23,13 +23,13 @@ func (h *varHeap) inHeap(v Var) bool {
 // insert adds v to the heap if not already present.
 func (h *varHeap) insert(v Var) {
 	for int(v) >= len(h.indices) {
-		h.indices = append(h.indices, -1)
+		h.indices = push(h.indices, -1)
 	}
 	if h.indices[v] >= 0 {
 		return
 	}
 	h.indices[v] = int32(len(h.heap))
-	h.heap = append(h.heap, v)
+	h.heap = push(h.heap, v)
 	h.siftUp(int(h.indices[v]))
 }
 

@@ -45,11 +45,17 @@
 // conflicts, learnt clauses, restarts and models do not depend on where
 // clauses sit or when the arena is compacted. The trajectory pin in
 // fixture_test.go holds the counters fixed on a real synthesis CNF.
+//
+// Loading is cheap too, because CEGIS builds about one solver per
+// verification query: the arena, the per-variable arrays and the variable
+// heap grow by doubling, and each new literal's watch list starts as a
+// small capped slice of a shared slab rather than an allocation of its own.
 package sat
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -218,7 +224,8 @@ type Solver struct {
 	garbageFrac float64 // wasted share that triggers compact (defaultGarbageFrac)
 	compactions int     // arena compactions so far
 
-	watches [][]watcher // indexed by Lit
+	watches   [][]watcher // indexed by Lit
+	watchSlab []watcher   // unused room new watch lists are carved from
 
 	vals     []lbool // indexed by Lit: the literal's current value
 	level    []int32 // decision level per var
@@ -271,16 +278,44 @@ func New() *Solver {
 // NewVar allocates and returns a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, refUndef)
-	s.polarity = append(s.polarity, true) // default phase: false (negated)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.vals = push(push(s.vals, lUndef), lUndef)
+	s.level = push(s.level, 0)
+	s.reason = push(s.reason, refUndef)
+	s.polarity = push(s.polarity, true) // default phase: false (negated)
+	s.activity = push(s.activity, 0)
+	s.seen = push(s.seen, false)
+	s.watches = push(push(s.watches, s.newWatchList()), s.newWatchList())
 	s.order.insert(v)
 	s.stats.MaxVar = len(s.level)
 	return v
+}
+
+// push appends x to xs, doubling the capacity of a full slice: append
+// alone grows a large slice by only about 1.25x, so a solver loading a
+// big encoding would reallocate its per-variable arrays many times over.
+func push[T any](xs []T, x T) []T {
+	if len(xs) == cap(xs) {
+		xs = slices.Grow(xs, max(len(xs), 16))
+	}
+	return append(xs, x)
+}
+
+// watchListCap is the capacity a new literal's watch list starts with.
+const watchListCap = 4
+
+// newWatchList returns an empty watch list with room for watchListCap
+// watchers, carved from a shared slab instead of allocated on its own.
+// The slice is capped, so once it outgrows that room append moves it to
+// an array of its own and never writes into a neighbour's slot.
+func (s *Solver) newWatchList() []watcher {
+	if len(s.watchSlab) < watchListCap {
+		// Size each slab for as many lists as the solver already has
+		// literals, so slab allocations grow geometrically too.
+		s.watchSlab = make([]watcher, watchListCap*max(2*len(s.level), 256))
+	}
+	ws := s.watchSlab[:0:watchListCap]
+	s.watchSlab = s.watchSlab[watchListCap:]
+	return ws
 }
 
 // NumVars returns the number of allocated variables.
@@ -401,6 +436,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // learnt clause also joins learnts with zero activity.
 func (s *Solver) allocClause(lits []Lit, learnt bool) clauseRef {
 	ref := clauseRef(len(s.arena))
+	if need := len(lits) + 2; len(s.arena)+need > cap(s.arena) {
+		s.arena = slices.Grow(s.arena, max(len(s.arena), need)) // double
+	}
 	hdr := Lit(len(lits)) << hdrSizeShift
 	if learnt {
 		hdr |= hdrLearnt

@@ -162,6 +162,7 @@ func TestBadRequests(t *testing.T) {
 		"bad alu":      {Name: "x", Source: samplingSrc, ALU: "quantum"},
 		"bad target":   {Name: "x", Source: samplingSrc, Target: "riscv"},
 		"width":        {Name: "x", Source: samplingSrc, Width: -1},
+		"wide width":   {Name: "x", Source: samplingSrc, Width: 1000},
 		"synth width":  {Name: "x", Source: samplingSrc, SynthWidth: 33},
 		"verify width": {Name: "x", Source: samplingSrc, VerifyWidth: 64},
 		"max stages":   {Name: "x", Source: samplingSrc, MaxStages: -3},

@@ -93,7 +93,7 @@ func New(b *circuit.Builder, grid pisa.GridSpec, numFields, numStates int, opts 
 			if !data && word.Width(bits) > s.minWidth {
 				s.minWidth = word.Width(bits)
 			}
-			hw := b.InputWord(name, word.Width(bits))
+			hw := b.InputWord(word.Width(bits))
 			s.holeWords = append(s.holeWords, hw)
 			return hw
 		})

@@ -353,15 +353,15 @@ func synthesize(ctx context.Context, prog *ast.Program, inputs, outputs []string
 	slots := make([]slotHoles, n)
 	for k := range slots {
 		slots[k] = slotHoles{
-			op:   b.InputWord(fmt.Sprintf("op%d", k), opcodeBits),
-			a:    b.InputWord(fmt.Sprintf("a%d", k), word.Width(selBits)),
-			bSel: b.InputWord(fmt.Sprintf("b%d", k), word.Width(selBits)),
-			imm:  b.InputWord(fmt.Sprintf("imm%d", k), word.Width(opts.immBits())),
+			op:   b.InputWord(opcodeBits),
+			a:    b.InputWord(word.Width(selBits)),
+			bSel: b.InputWord(word.Width(selBits)),
+			imm:  b.InputWord(word.Width(opts.immBits())),
 		}
 	}
 	outSel := make([]circuit.Word, len(outputs))
 	for i := range outputs {
-		outSel[i] = b.InputWord(fmt.Sprintf("out%d", i), word.Width(outBits))
+		outSel[i] = b.InputWord(word.Width(outBits))
 	}
 
 	solver := sat.New()
@@ -509,7 +509,7 @@ func verifySeq(ctx context.Context, prog *ast.Program, seq *Sequence, w word.Wid
 	env := arith.NewEnv[circuit.Word]()
 	inWords := make([]circuit.Word, len(seq.Inputs))
 	for i, f := range seq.Inputs {
-		inWords[i] = b.InputWord(f, w)
+		inWords[i] = b.InputWord(w)
 		env.Pkt[f] = inWords[i]
 	}
 	specEnv, err := arith.EvalProgram[circuit.Word](a, prog, env)
