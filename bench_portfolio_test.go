@@ -4,9 +4,7 @@
 // trajectory to compare against. Besides wall clock it records total
 // solver conflicts (sequential vs. the portfolio's sum across members,
 // wasted work included) — the price paid for the speedup — plus one cold
-// sequential compile per CEGIS strategy (counterexample vs. hole
-// elimination) so each mode's effort trajectory is tracked through the
-// perf history, not just the default path's.
+// sequential compile whose effort counters feed the perf history.
 //
 // Smoke-run it the way CI does (quickstart example only):
 //
@@ -92,17 +90,10 @@ type portfolioBenchRow struct {
 	// measurement noise (±5-10% at millisecond scale on the reference
 	// box), not scheduling cost.
 	IdenticalWork bool `json:"identical_work"`
-	// Per-mode cold-compile effort: one sequential compile per CEGIS
-	// strategy at the case seed. Hole elimination is allowed to exhaust
-	// its candidate budget on programs whose hole space outlives it — the
-	// burned effort is still the datum, with HolesConcluded false.
-	CexColdMS          float64 `json:"cex_cold_ms"`
-	CexColdIters       int     `json:"cex_cold_iters"`
-	CexColdConflicts   int64   `json:"cex_cold_conflicts"`
-	HolesColdMS        float64 `json:"holes_cold_ms"`
-	HolesColdIters     int     `json:"holes_cold_iters"`
-	HolesColdConflicts int64   `json:"holes_cold_conflicts"`
-	HolesConcluded     bool    `json:"holes_concluded"`
+	// Cold-compile effort: one sequential compile at the case seed.
+	CexColdMS        float64 `json:"cex_cold_ms"`
+	CexColdIters     int     `json:"cex_cold_iters"`
+	CexColdConflicts int64   `json:"cex_cold_conflicts"`
 }
 
 func (r portfolioBenchRow) samples() map[string]float64 {
@@ -116,18 +107,7 @@ func (r portfolioBenchRow) samples() map[string]float64 {
 		"cex_cold_ms":          r.CexColdMS,
 		"cex_cold_iters":       float64(r.CexColdIters),
 		"cex_cold_conflicts":   float64(r.CexColdConflicts),
-		"holes_cold_ms":        r.HolesColdMS,
-		"holes_cold_iters":     float64(r.HolesColdIters),
-		"holes_cold_conflicts": float64(r.HolesColdConflicts),
-		"holes_concluded":      b2f(r.HolesConcluded),
 	}
-}
-
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 func (c portfolioBenchCase) options() (*chipmunk.Program, chipmunk.Options, error) {
@@ -226,31 +206,15 @@ func BenchmarkPortfolio(b *testing.B) {
 						row.Stages = prep.Usage.Stages
 					}
 				}
-				// Per-mode cold compiles, once per iteration: the effort
-				// counters are deterministic at a fixed seed, so a single
-				// run per strategy is enough for the history to catch an
-				// effort regression in either mode. Counterexample mode must
-				// conclude; hole elimination may come back inconclusive
-				// (TimedOut) but must never flip the verdict.
-				for _, mode := range []string{"cex", "holes"} {
-					mo := opts
-					mo.CEGISMode = mode
-					r, d := runOne(mo)
-					ms := float64(d.Microseconds()) / 1000
-					ef := r.Effort()
-					if mode == "cex" {
-						if !r.Feasible {
-							b.Fatalf("%s: counterexample cold compile infeasible", c.Name)
-						}
-						row.CexColdMS, row.CexColdIters, row.CexColdConflicts = ms, ef.Iters, ef.Conflicts
-					} else {
-						if !r.Feasible && !r.TimedOut {
-							b.Fatalf("%s: hole elimination reported definite infeasibility on a feasible program", c.Name)
-						}
-						row.HolesColdMS, row.HolesColdIters, row.HolesColdConflicts = ms, ef.Iters, ef.Conflicts
-						row.HolesConcluded = r.Feasible
-					}
+				// One cold compile per iteration: the effort counters are
+				// deterministic at a fixed seed, so a single run is enough
+				// for the history to catch an effort regression.
+				r, d := runOne(opts)
+				if !r.Feasible {
+					b.Fatalf("%s: cold compile infeasible", c.Name)
 				}
+				ef := r.Effort()
+				row.CexColdMS, row.CexColdIters, row.CexColdConflicts = float64(d.Microseconds())/1000, ef.Iters, ef.Conflicts
 				if row.PortfolioMS > 0 {
 					row.Speedup = row.SequentialMS / row.PortfolioMS
 				}

@@ -120,6 +120,7 @@ func TestCLIChipmunkRejectsOutOfRangeOptions(t *testing.T) {
 		{[]string{"-width", "0"}, "pisa width 0"},
 		{[]string{"-width", "-2"}, "pisa width -2"},
 		{[]string{"-width", "1000"}, "pisa width 1000"},
+		{[]string{"-const-bits", "-5"}, "const bits -5"},
 	} {
 		args := append(append([]string{}, tc.args...), samplingPath(t))
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -133,6 +134,29 @@ func TestCLIChipmunkRejectsOutOfRangeOptions(t *testing.T) {
 		}
 		if strings.Contains(string(out), "INFEASIBLE") || strings.Contains(string(out), "panic") {
 			t.Errorf("%v: usage error reported as a verdict or panic:\n%s", tc.args, out)
+		}
+	}
+}
+
+// Flags the daemon API cannot carry are usage errors with -remote, caught
+// before any request is sent, rather than silently compiling with defaults.
+func TestCLIChipmunkRejectsLocalOnlyFlagsWithRemote(t *testing.T) {
+	bin := buildTool(t, "chipmunk")
+	for _, args := range [][]string{
+		{"-fixed-stages", "-max-stages", "3"},
+		{"-indicator-alloc"},
+		{"-race-allocs", "-parallel", "2"},
+		{"-bpf-opcode-mask", "7", "-target", "bpf"},
+	} {
+		full := append(append([]string{"-remote", "http://localhost:1"}, args...), samplingPath(t))
+		out, err := exec.Command(bin, full...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("%v: want usage exit 1, got %v\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), args[0]+" is local-only") {
+			t.Errorf("%v: output does not name the local-only flag:\n%s", args, out)
 		}
 	}
 }

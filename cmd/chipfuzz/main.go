@@ -8,10 +8,8 @@
 // the SAT/CEGIS machinery), spot-checks infeasible claims by sampling hole
 // assignments, audits infeasibility forensics on a subsample of infeasible
 // verdicts (the blamed UNSAT core must be jointly unsatisfiable and
-// minimal under re-solve), periodically cross-checks semantics-preserving
-// mutants, and (with -mode-every) recompiles a subsample under
-// hole-elimination CEGIS, requiring verdict agreement with the default
-// counterexample-guided strategy.
+// minimal under re-solve), and periodically cross-checks
+// semantics-preserving mutants.
 //
 // Usage:
 //
@@ -57,7 +55,6 @@ func run() error {
 		unsatSamp   = flag.Int("unsat-samples", 64, "random hole assignments sampled per infeasible verdict")
 		explainEach = flag.Int("explain-every", 4, "audit infeasibility forensics (blame-set minimality under re-solve) on every n-th iteration's infeasible verdict (0 disables)")
 		bpfEach     = flag.Int("bpf-every", 0, "also compile every n-th iteration for the bpf register-machine target and oracle-check it (0 disables; meant for the nightly run)")
-		modeEach    = flag.Int("mode-every", 0, "also recompile every n-th iteration under hole-elimination CEGIS and require verdict agreement with counterexample mode (0 disables)")
 		verbose     = flag.Bool("v", false, "log per-failure details and the final summary")
 		perfHistory = flag.String("perf-history", os.Getenv(perfhist.EnvVar),
 			"append campaign effort (iterations/sec, per-oracle time split) to this JSONL performance history")
@@ -90,7 +87,6 @@ func run() error {
 		UnsatSamples:   *unsatSamp,
 		ExplainEvery:   *explainEach,
 		BPFEvery:       *bpfEach,
-		ModeEvery:      *modeEach,
 		Artifacts:      artifacts,
 	}
 	if *mutantsEach == 0 {
@@ -108,11 +104,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("chipfuzz: %d iters in %s: %d compiles (%d feasible, %d infeasible, %d timed out), %d solver checks, %d mutants, %d unsat probes, %d bpf compiles (%d feasible), %d mode checks (%d diverged) — %d failure(s)\n",
+	fmt.Printf("chipfuzz: %d iters in %s: %d compiles (%d feasible, %d infeasible, %d timed out), %d solver checks, %d mutants, %d unsat probes, %d bpf compiles (%d feasible) — %d failure(s)\n",
 		sum.Iters, time.Since(start).Round(time.Millisecond),
 		sum.Compiles, sum.Feasible, sum.Infeasible, sum.TimedOut,
 		sum.SolverChecks, sum.Mutants, sum.UnsatProbes,
-		sum.BPFCompiles, sum.BPFFeasible, sum.ModeChecks, sum.ModeDiverged, sum.Failures)
+		sum.BPFCompiles, sum.BPFFeasible, sum.Failures)
 	if *perfHistory != "" {
 		hist, err := perfhist.Open(*perfHistory, "chipfuzz")
 		if err != nil {

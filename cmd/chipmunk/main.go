@@ -74,12 +74,10 @@ func run() error {
 		fixed       = flag.Bool("fixed-stages", false, "synthesize at exactly max-stages (skip depth minimization)")
 		explain     = flag.Bool("explain", false, "on an infeasible verdict, run UNSAT-core forensics and report the binding resource and blamed statements")
 		seed        = flag.Int64("seed", 1, "random seed for CEGIS test inputs")
-		cegisMode   = flag.String("cegis-mode", "cex", "CEGIS refinement strategy: cex (counterexample-guided) or holes (hole elimination)")
 		symmetry    = flag.Bool("symmetry", false, "add symmetry-breaking clauses to the synthesis encoding (pisa only)")
 		parallel    = flag.Int("parallel", 1, "portfolio parallelism: race stage depths and seeds on this many workers (1 = sequential)")
 		seedFanout  = flag.Int("seed-fanout", 1, "diversified CEGIS seeds raced per stage depth in portfolio mode")
 		raceAllocs  = flag.Bool("race-allocs", false, "also race the opposite field-allocation mode in portfolio mode")
-		raceModes   = flag.Bool("race-modes", false, "also race the other CEGIS strategy per depth in portfolio mode")
 		asJSON      = flag.Bool("json", false, "emit the configuration as JSON")
 		emitLang    = flag.String("emit", "", "translate the configuration to low-level code: \"go\" or \"p4\" (pisa), \"bpfc\" (bpf)")
 		verbose     = flag.Bool("v", false, "trace CEGIS phases")
@@ -104,8 +102,22 @@ func run() error {
 	if *watch && *remote == "" {
 		return fmt.Errorf("-watch requires -remote (live events stream from a chipmunkd daemon)")
 	}
-	if *remote != "" && *opcodeMask != 0 {
-		return fmt.Errorf("-bpf-opcode-mask is local-only (the daemon API does not expose a machine mask)")
+	if *remote != "" {
+		// The daemon API has no field for these, so a remote compile would
+		// silently run with the defaults instead.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-bpf-opcode-mask", *opcodeMask != 0},
+			{"-fixed-stages", *fixed},
+			{"-indicator-alloc", *indicator},
+			{"-race-allocs", *raceAllocs},
+		} {
+			if f.set {
+				return fmt.Errorf("%s is local-only (the daemon API does not expose it)", f.name)
+			}
+		}
 	}
 
 	kind, err := alu.KindByName(*aluKind)
@@ -125,12 +137,10 @@ func run() error {
 		FixedStages:    *fixed,
 		Explain:        *explain,
 		Seed:           *seed,
-		CEGISMode:      *cegisMode,
 		SymmetryBreak:  *symmetry,
 		Parallelism:    *parallel,
 		SeedFanout:     *seedFanout,
 		RaceAllocs:     *raceAllocs,
-		RaceModes:      *raceModes,
 	}
 	// Out-of-range sizes and widths are usage errors (exit 1), caught
 	// before any compile, local or remote, can start.
@@ -162,8 +172,6 @@ func run() error {
 			Parallel:      *parallel,
 			SeedFanout:    *seedFanout,
 			Explain:       *explain,
-			CEGISMode:     *cegisMode,
-			RaceModes:     *raceModes,
 			SymmetryBreak: *symmetry,
 		}, *timeout, *asJSON, *watch)
 	}
@@ -441,8 +449,6 @@ func depthSummary(rep *core.Report) string {
 			verdict = "pruned by depth floor"
 		case d.Canceled:
 			verdict = "canceled"
-		case d.Exhausted:
-			verdict = "candidate budget exhausted"
 		case d.TimedOut:
 			verdict = "timeout"
 		}

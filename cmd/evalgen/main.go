@@ -48,7 +48,6 @@ func run() error {
 		cachePath = flag.String("cache-path", "", "persist the solution cache to this JSON file; repeat sweeps skip already-solved mutants")
 		withBPF   = flag.Bool("bpf", false, "also compile each mutant for the bpf register-machine target (hand-worked slot budgets) and add per-target columns")
 		explain   = flag.Bool("explain", false, "run infeasibility forensics on infeasible mutants and record the binding dimension in the CSV infeasibility columns")
-		cegisMode = flag.String("cegis-mode", "", "CEGIS strategy for the PISA compilations: cex (default) or holes; the concluding mode lands in the CSV chipmunk_mode column")
 	)
 	flag.Parse()
 
@@ -61,7 +60,6 @@ func run() error {
 		SeedFanout:       *fanout,
 		BPF:              *withBPF,
 		Explain:          *explain,
-		CEGISMode:        *cegisMode,
 	}
 	if *progs != "" {
 		opts.Programs = strings.Split(*progs, ",")

@@ -64,12 +64,6 @@ type Sketch interface {
 	// HoleInventory returns each hole's name and bit width in
 	// deterministic (creation) order.
 	HoleInventory() (names []string, bits []int)
-	// HoleWords returns every hole word in deterministic (creation)
-	// order — the complete configuration space as circuit words.
-	// Hole-elimination CEGIS blocks refuted candidates by asserting a
-	// clause over exactly these bits, so the slice must cover every bit
-	// Extract reads.
-	HoleWords() []circuit.Word
 	// MinWidth is the narrowest datapath width at which the sketch may be
 	// instantiated soundly: the width of the widest control hole (control
 	// encodings must not truncate; data holes/immediates may).

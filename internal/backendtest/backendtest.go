@@ -261,21 +261,6 @@ func checkInventory(t *testing.T, be backend.Backend, size, nf, ns int) {
 	if sum != bits {
 		t.Errorf("%s: HoleCount bits = %d, inventory sums to %d", be.Target(), bits, sum)
 	}
-	words := sk.HoleWords()
-	if len(words) != holes {
-		t.Errorf("%s: HoleWords returns %d words, inventory has %d holes", be.Target(), len(words), holes)
-	}
-	wsum := 0
-	for i, w := range words {
-		if len(w) < 1 {
-			t.Errorf("%s: hole word %d is empty", be.Target(), i)
-		}
-		wsum += len(w)
-	}
-	if wsum != bits {
-		t.Errorf("%s: HoleWords spans %d bits, inventory sums to %d — hole elimination would quotient the space",
-			be.Target(), wsum, bits)
-	}
 	if err := sk.MinWidth().Validate(); err != nil {
 		t.Errorf("%s: MinWidth invalid: %v", be.Target(), err)
 	}

@@ -78,7 +78,6 @@ type Sketch struct {
 	holes     *Holes[circuit.Word]
 	holeNames []string
 	holeBits  []int
-	holeWords []circuit.Word
 	minWidth  word.Width
 }
 
@@ -94,9 +93,7 @@ func NewSketch(b *circuit.Builder, spec MachineSpec, numFields, numStates int) *
 			if !data && bits > minWidth {
 				minWidth = bits
 			}
-			hw := b.InputWord(word.Width(bits))
-			s.holeWords = append(s.holeWords, hw)
-			return hw
+			return b.InputWord(word.Width(bits))
 		})
 	s.minWidth = word.Width(minWidth)
 	return s
@@ -114,12 +111,6 @@ func (s *Sketch) HoleCount() (holes, bits int) {
 // (slot-major) order.
 func (s *Sketch) HoleInventory() (names []string, bits []int) {
 	return append([]string(nil), s.holeNames...), append([]int(nil), s.holeBits...)
-}
-
-// HoleWords implements backend.Sketch: every hole word in creation
-// (slot-major) order, the blocking surface of hole-elimination CEGIS.
-func (s *Sketch) HoleWords() []circuit.Word {
-	return append([]circuit.Word{}, s.holeWords...)
 }
 
 // MinWidth implements backend.Sketch: the widest control hole (the

@@ -69,18 +69,12 @@ type Options struct {
 	// IndicatorAlloc selects the indicator-variable field allocation
 	// (Figure 4 ablation) instead of canonical allocation.
 	IndicatorAlloc bool
-	// Mode selects the refinement strategy: counterexample feedback (the
-	// default) or hole elimination. See Mode.
-	Mode Mode
 	// InitialTests is the number of random test inputs seeded before the
 	// first synthesis call (Figure 3's "initialize X to random inputs").
 	// 0 means 2.
 	InitialTests int
-	// MaxIters bounds CEGIS iterations. 0 means 64 in counterexample mode
-	// and DefaultHoleElimMaxIters in hole-elimination mode. Exhausting the
-	// bound is an error in counterexample mode (it signals divergence) but
-	// an ordinary TimedOut result in hole-elimination mode (enumeration
-	// commonly outlives any fixed bound without being wrong).
+	// MaxIters bounds CEGIS iterations. 0 means 64. Exhausting the bound
+	// is an error: it signals divergence.
 	MaxIters int
 	// Seed drives the initial random test inputs.
 	Seed int64
@@ -119,9 +113,6 @@ func (o *Options) verifyWidth() word.Width {
 
 func (o *Options) initialTests() int {
 	if o.InitialTests == 0 {
-		if o.mode() == ModeHoleElimination {
-			return DefaultHoleElimInitialTests
-		}
 		return 2
 	}
 	return o.InitialTests
@@ -129,19 +120,9 @@ func (o *Options) initialTests() int {
 
 func (o *Options) maxIters() int {
 	if o.MaxIters == 0 {
-		if o.mode() == ModeHoleElimination {
-			return DefaultHoleElimMaxIters
-		}
 		return 64
 	}
 	return o.MaxIters
-}
-
-func (o *Options) mode() Mode {
-	if o.Mode == "" {
-		return ModeCounterexample
-	}
-	return o.Mode
 }
 
 // Event reports one CEGIS phase outcome for tracing.
@@ -151,9 +132,6 @@ type Event struct {
 	// outside portfolio mode), so interleaved traces from racing attempts
 	// can be demultiplexed.
 	Member string
-	// Mode is the refinement strategy the run uses ("cex" or "holes"), so
-	// effort rows from a mode race stay attributable per strategy.
-	Mode Mode
 	// Phase is "synth" or "verify".
 	Phase string
 	// Outcome is "sat", "unsat", or "timeout".
@@ -182,8 +160,6 @@ type Result struct {
 	// Synthesize calls can attribute each result (in particular the
 	// winner's) without extra bookkeeping.
 	Member string
-	// Mode is the refinement strategy that produced this result.
-	Mode Mode
 	// Target names the backend this run synthesized for ("pisa", "bpf").
 	Target string
 	// Feasible reports whether a configuration implementing the program
@@ -289,13 +265,7 @@ func cexBits(cex interp.Snapshot) int {
 // configuration records the verification width as its run width, since
 // that is the widest width at which it is proven correct.
 func Synthesize(ctx context.Context, prog *ast.Program, grid pisa.GridSpec, opts Options) (*Result, error) {
-	be := sketch.PISABackend{Grid: grid, Opts: sketch.Options{
-		IndicatorAlloc: opts.IndicatorAlloc,
-		// Hole elimination enumerates candidates one blocking clause at a
-		// time, so symmetric duplicates of a refuted candidate cost a full
-		// iteration each: quotient the space whenever the backend can.
-		SymmetryBreak: opts.mode() == ModeHoleElimination,
-	}}
+	be := sketch.PISABackend{Grid: grid, Opts: sketch.Options{IndicatorAlloc: opts.IndicatorAlloc}}
 	return SynthesizeOn(ctx, prog, be, grid.Stages, opts)
 }
 
@@ -308,7 +278,7 @@ func Synthesize(ctx context.Context, prog *ast.Program, grid pisa.GridSpec, opts
 // synthesis solver, the counterexample feedback — is shared.
 func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, size int, opts Options) (*Result, error) {
 	start := time.Now()
-	res := &Result{Member: opts.Member, Mode: opts.mode(), Target: be.Target()}
+	res := &Result{Member: opts.Member, Target: be.Target()}
 
 	vars := prog.Variables()
 	fields, states := vars.Fields, vars.States
@@ -354,18 +324,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 	synthCNF := circuit.NewCNF(b, synthSolver)
 	sk.AssertDomains(synthCNF)
 
-	// Hole elimination blocks candidates by clauses over the hole bits, so
-	// every hole bit must exist as a solver variable before the first solve.
-	// Counterexample mode leaves the cone lazy: bits outside the encoded
-	// cone read as zero in Extract and are pinned later by wider tests, but
-	// an enumeration that never adds tests would otherwise quotient the
-	// hole space and prove bogus UNSATs.
-	var holeWords []circuit.Word
-	if opts.mode() == ModeHoleElimination {
-		holeWords = sk.HoleWords()
-		synthCNF.Touch(holeWords...)
-	}
-
 	// addTest encodes one concrete test input (see encodeTest) and counts it.
 	addTest := func(x interp.Snapshot, w word.Width) error {
 		if err := encodeTest(b, sk, synthCNF, prog, fields, states, x, w); err != nil {
@@ -396,25 +354,11 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 			return nil, err
 		}
 	}
-	// Hole elimination never grows the test set, so the initial sample is
-	// the only spec evidence candidates must fit before verification: seed
-	// a second sample at the verification width, pinning upper-bit
-	// behaviour the narrow tier cannot see. Counterexample mode gets wide
-	// evidence for free from counterexamples, and its re-solved CNF should
-	// stay minimal, so the extra instantiations are holes-only.
-	if opts.mode() == ModeHoleElimination && vw > sw {
-		for i := 0; i < opts.initialTests(); i++ {
-			if err := addTest(randomSnapshot(rng, vw, fields, states), vw); err != nil {
-				return nil, err
-			}
-		}
-	}
 	encodeSpan.End(obs.Int("tests", res.Tests))
 
 	trace := func(ev Event) {
 		if opts.Trace != nil {
 			ev.Member = opts.Member
-			ev.Mode = opts.mode()
 			opts.Trace(ev)
 		}
 	}
@@ -509,14 +453,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		}
 		reg.Histogram("cegis.cex_bits").Observe(int64(cexBits(vo.cex)))
 		iterSpan.End(obs.String("outcome", "counterexample"))
-		if opts.mode() == ModeHoleElimination {
-			// Block the refuted candidate's hole assignment and keep the
-			// synthesis solver (with all its learned clauses) alive — the
-			// upstream driver's hole_elimination_mode. The counterexample
-			// itself is discarded; its only role was refutation.
-			synthCNF.BlockModel(holeWords...)
-			continue
-		}
 		// Feed the counterexample back at the verification width (the
 		// paper's outer loop: "rerun SKETCH using the counterexample as an
 		// additional concrete input").
@@ -528,14 +464,6 @@ func SynthesizeOn(ctx context.Context, prog *ast.Program, be backend.Backend, si
 		}
 	}
 	res.Elapsed = time.Since(start)
-	if opts.mode() == ModeHoleElimination {
-		// Exhausting the candidate bound proves nothing either way:
-		// report an inconclusive (timed-out) result, matching what a
-		// wall-clock expiry would have reported, so racing schedulers and
-		// campaigns treat it as "this strategy lost", not as an error.
-		res.TimedOut = true
-		return res, nil
-	}
 	return res, fmt.Errorf("cegis: no convergence after %d iterations (%d tests)", res.Iters, res.Tests)
 }
 

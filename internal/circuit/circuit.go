@@ -843,48 +843,6 @@ func (c *CNF) AssertNot(n Bit) {
 	c.addClause(c.Lit(n).Not())
 }
 
-// Touch forces a solver variable into existence for every non-constant
-// bit of the given words, encoding each bit's cone of influence. For pure
-// input bits (holes) this allocates a free variable with no clauses.
-//
-// Hole-elimination CEGIS needs this before its first solve: Extract reads
-// unencoded bits as zero, which is fine when later (wider) tests would
-// encode them, but a blocking-clause enumeration never adds tests — so
-// every hole bit must be a real solver variable or the enumeration would
-// silently quotient the hole space and make its UNSAT verdicts unsound.
-func (c *CNF) Touch(words ...Word) {
-	for _, w := range words {
-		for _, bit := range w {
-			if bit == True || bit == False {
-				continue
-			}
-			c.Lit(bit)
-		}
-	}
-}
-
-// BlockModel adds one clause forbidding the solver's current assignment
-// to the given words: the disjunction, over every non-constant bit, of
-// the literal that disagrees with the model. With the words being a
-// sketch's holes this is the hole-elimination step — the candidate just
-// refuted by a counterexample can never be proposed again.
-func (c *CNF) BlockModel(words ...Word) {
-	var clause []sat.Lit
-	for _, w := range words {
-		for _, bit := range w {
-			if bit == True || bit == False {
-				continue
-			}
-			l := c.Lit(bit)
-			if c.BitValue(bit) {
-				l = l.Not()
-			}
-			clause = append(clause, l)
-		}
-	}
-	c.addClause(clause...)
-}
-
 // WordValue reads the value of a word from the solver's current model.
 func (c *CNF) WordValue(w Word) uint64 {
 	var v uint64

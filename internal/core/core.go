@@ -77,10 +77,6 @@ type Options struct {
 	// IndicatorAlloc uses indicator-variable packet-field allocation
 	// instead of canonical allocation (Figure 4 ablation).
 	IndicatorAlloc bool
-	// CEGISMode selects the refinement strategy ("cex", "holes", or any
-	// spelling cegis.ParseMode accepts; empty means counterexample mode —
-	// the historical behaviour).
-	CEGISMode string
 	// SymmetryBreak asks the backend to prune grid symmetries from the
 	// hole space (sketch.Options.SymmetryBreak). Backends without
 	// interchangeable resources ignore it. Verdict-preserving; off by
@@ -106,11 +102,6 @@ type Options struct {
 	// RaceAllocs additionally races the opposite field-allocation mode
 	// (canonical vs indicator) for every portfolio member.
 	RaceAllocs bool
-	// RaceModes additionally races both CEGIS refinement strategies
-	// (counterexample vs hole elimination) for every portfolio member —
-	// the upstream driver's repeated_solver race. Requires Parallelism
-	// >= 2 to have any effect.
-	RaceModes bool
 	// Trace receives CEGIS events, if non-nil. In portfolio mode events
 	// from racing members arrive concurrently (distinguished by
 	// Event.Member); the callback must be safe for concurrent use.
@@ -169,7 +160,8 @@ var ErrInvalidOptions = errors.New("core: invalid options")
 
 // Validate rejects option values no compile can honour before any work
 // starts: a negative stage or slot bound, a pisa PHV width below one or
-// above MaxPISAWidth, or a CEGIS tier width outside the range word.Width supports. Zero keeps each
+// above MaxPISAWidth, a negative immediate width, or a CEGIS tier width
+// outside the range word.Width supports. Zero keeps each
 // default. Errors wrap ErrInvalidOptions. Compile calls it first, so bad
 // input from any caller is an error rather than a panic deep in encoding;
 // the CLI reports it as a usage error and chipmunkd as a 400.
@@ -182,6 +174,11 @@ func (o Options) Validate() error {
 	}
 	if o.targetName() == "pisa" && o.Width > MaxPISAWidth {
 		return fmt.Errorf("%w: pisa width %d, at most %d", ErrInvalidOptions, o.Width, MaxPISAWidth)
+	}
+	for _, cb := range []int{o.StatelessALU.ConstBits, o.StatefulALU.ConstBits} {
+		if cb < 0 {
+			return fmt.Errorf("%w: const bits %d is negative", ErrInvalidOptions, cb)
+		}
 	}
 	for _, tier := range []struct {
 		name string
@@ -241,13 +238,6 @@ type DepthResult struct {
 	// Member labels the portfolio member that ran this probe (e.g.
 	// "d2.s1.canon"); empty on the sequential path.
 	Member string
-	// Mode is the CEGIS refinement strategy the probe ran ("cex" or
-	// "holes").
-	Mode string
-	// Exhausted marks a hole-elimination probe that ran out of its
-	// candidate budget without a verdict (inconclusive, but not a compile
-	// timeout).
-	Exhausted bool
 	// Pruned marks a depth skipped without any SAT effort because the
 	// portfolio's witness-based depth floor proved it infeasible.
 	Pruned bool
@@ -308,10 +298,6 @@ type Report struct {
 	// Winner labels the portfolio member that produced Config (empty on
 	// the sequential path).
 	Winner string
-	// Mode is the CEGIS refinement strategy that produced the verdict
-	// ("cex" or "holes"): the winner's mode in portfolio mode, the
-	// configured mode on the sequential path. Empty on cached outcomes.
-	Mode string
 	// WastedConflicts sums the SAT conflicts spent by portfolio members
 	// other than the winner — the redundancy cost of racing. Zero on the
 	// sequential path.
@@ -356,9 +342,6 @@ func Compile(ctx context.Context, prog *ast.Program, opts Options) (*Report, err
 		return nil, err
 	}
 	if _, err := backendFor(opts, opts.IndicatorAlloc, opts.SymmetryBreak); err != nil {
-		return nil, err
-	}
-	if _, err := cegis.ParseMode(opts.CEGISMode); err != nil {
 		return nil, err
 	}
 
@@ -477,12 +460,10 @@ func Fingerprint(prog *ast.Program, opts Options) string {
 
 // cacheKey derives the solution-cache fingerprint for a compilation. The
 // seed, the callbacks, the portfolio knobs (Parallelism, SeedFanout,
-// RaceAllocs, RaceModes), and the search-strategy knobs (CEGISMode,
-// SymmetryBreak) are excluded: they steer the search, not the validity of
-// its result — both CEGIS modes prove the same verdicts and symmetry
-// breaking is verdict-preserving — so one canonical problem keeps one
-// fingerprint regardless of strategy and a portfolio winner populates the
-// same entry a sequential run would.
+// RaceAllocs), and SymmetryBreak are excluded: they steer the search, not
+// the validity of its result — symmetry breaking is verdict-preserving —
+// so one canonical problem keeps one fingerprint regardless of strategy
+// and a portfolio winner populates the same entry a sequential run would.
 func cacheKey(prog *ast.Program, opts Options) solcache.Key {
 	p := solcache.Problem{
 		Program: prog,
@@ -522,12 +503,7 @@ func gridSpec(opts Options) pisa.GridSpec {
 // body, so the two paths cannot drift. The returned cegis.Result carries
 // the configuration when feasible.
 func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, copts cegis.Options) (DepthResult, *cegis.Result, error) {
-	// Hole-elimination members always get symmetry breaking (on backends
-	// that support it): enumeration pays one full iteration per symmetric
-	// duplicate of a refuted candidate, so it always wants the quotient
-	// space. Counterexample members keep it behind the explicit option.
-	sym := opts.SymmetryBreak || copts.Mode == cegis.ModeHoleElimination
-	be, err := backendFor(opts, copts.IndicatorAlloc, sym)
+	be, err := backendFor(opts, copts.IndicatorAlloc, opts.SymmetryBreak)
 	if err != nil {
 		return DepthResult{}, nil, err
 	}
@@ -559,17 +535,11 @@ func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, c
 		Elapsed:         res.Elapsed,
 		Seed:            copts.Seed,
 		Member:          copts.Member,
-		Mode:            string(res.Mode),
 		SynthConflicts:  res.SynthConflicts,
 		VerifyConflicts: res.VerifyConflicts,
 		Decisions:       res.Decisions,
 		Propagations:    res.Propagations,
 		PeakCNFVars:     res.PeakCNFVars,
-	}
-	if res.TimedOut && ctx.Err() == nil && res.Mode == cegis.ModeHoleElimination {
-		// The enumeration ran out of candidates before the deadline did:
-		// inconclusive, but not a timeout in the wall-clock sense.
-		dr.Exhausted = true
 	}
 	if res.Feasible {
 		if err := res.TargetConfig.Validate(); err != nil {
@@ -584,16 +554,10 @@ func attempt(ctx context.Context, prog *ast.Program, opts Options, stages int, c
 
 // search runs the iterative-deepening synthesis loop, filling rep in place.
 func search(ctx context.Context, prog *ast.Program, opts Options, rep *Report) error {
-	mode, err := cegis.ParseMode(opts.CEGISMode)
-	if err != nil {
-		return err
-	}
-	rep.Mode = string(mode)
 	copts := cegis.Options{
 		SynthWidth:     opts.SynthWidth,
 		VerifyWidth:    opts.VerifyWidth,
 		IndicatorAlloc: opts.IndicatorAlloc,
-		Mode:           mode,
 		Seed:           opts.Seed,
 		Trace:          opts.Trace,
 		Progress:       opts.Progress,
@@ -639,11 +603,6 @@ type memberAttempt struct {
 // witness-proven floor (portfolio.DepthFloor) are pruned without SAT
 // effort and recorded as Pruned DepthResults.
 func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *Report) error {
-	baseMode, err := cegis.ParseMode(opts.CEGISMode)
-	if err != nil {
-		return err
-	}
-	rep.Mode = string(baseMode) // a winner overrides with its own mode
 	maxS := opts.maxStages()
 	lo := 1
 	if opts.FixedStages {
@@ -694,14 +653,6 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 		BaseSeed:       opts.Seed,
 		IndicatorAlloc: opts.IndicatorAlloc,
 		RaceAllocs:     opts.RaceAllocs,
-		Mode:           string(baseMode),
-	}
-	if opts.RaceModes {
-		for _, m := range cegis.Modes() {
-			if m != baseMode {
-				spec.RaceModes = append(spec.RaceModes, string(m))
-			}
-		}
 	}
 	res, err := portfolio.Run(pctx, spec.Members(), opts.Parallelism,
 		func(mctx context.Context, m portfolio.Member) (memberAttempt, portfolio.Verdict, error) {
@@ -709,7 +660,6 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 				SynthWidth:     opts.SynthWidth,
 				VerifyWidth:    opts.VerifyWidth,
 				IndicatorAlloc: m.IndicatorAlloc,
-				Mode:           cegis.Mode(m.Mode),
 				Seed:           m.Seed,
 				Trace:          opts.Trace,
 				Progress:       opts.Progress,
@@ -721,10 +671,6 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 			}
 			v := portfolio.Infeasible
 			switch {
-			case dr.Exhausted:
-				// Hole elimination ran out of candidates with the deadline
-				// intact: the member lost, the portfolio lives on.
-				v = portfolio.Exhausted
 			case cres.TimedOut:
 				v = portfolio.TimedOut
 			case cres.Feasible:
@@ -764,17 +710,13 @@ func searchPortfolio(ctx context.Context, prog *ast.Program, opts Options, rep *
 			rep.Usage = win.res.Config.Usage()
 		}
 		rep.Winner = res.Winner.Member.Label
-		rep.Mode = win.dr.Mode
-		// Record the race outcome in the registry by allocation mode and
-		// by CEGIS mode, so a daemon's /metrics shows which member family
-		// wins over time — until now winner attribution lived only on
-		// individual reports.
+		// Record the race outcome in the registry by allocation mode, so
+		// a daemon's /metrics shows which member family wins over time.
 		mode := "canon"
 		if res.Winner.Member.IndicatorAlloc {
 			mode = "ind"
 		}
 		obs.MetricsFrom(pctx).Counter("portfolio.winner." + mode).Add(1)
-		obs.MetricsFrom(pctx).Counter("portfolio.winner.mode." + win.dr.Mode).Add(1)
 	case res.TimedOut:
 		rep.TimedOut = true
 	}

@@ -50,13 +50,6 @@ type CampaignOptions struct {
 	// synthesis is the campaign's slowest stage, so it is opt-in and meant
 	// for the nightly run). Negative disables explicitly.
 	BPFEvery int
-	// ModeEvery recompiles every n-th iteration's scenario under
-	// hole-elimination CEGIS and requires verdict agreement with the
-	// counterexample-mode compile (CheckModeAgreement). Timeouts and
-	// candidate-budget exhaustion are inconclusive, not divergences.
-	// 0 disables (hole elimination can enumerate large model sets, so
-	// the oracle is opt-in like BPFEvery).
-	ModeEvery int
 	// Gen bounds the program generator.
 	Gen GenOptions
 	// Artifacts receives one JSON line per failure, if non-nil.
@@ -141,11 +134,6 @@ type Summary struct {
 	// checked against the interpreter like its grid counterpart.
 	BPFCompiles int `json:"bpf_compiles,omitempty"`
 	BPFFeasible int `json:"bpf_feasible,omitempty"`
-	// ModeChecks counts mode-agreement oracle runs that reached a
-	// conclusive comparison; ModeDiverged counts the runs where the two
-	// CEGIS strategies disagreed (always also recorded as failures).
-	ModeChecks   int `json:"mode_checks,omitempty"`
-	ModeDiverged int `json:"mode_diverged,omitempty"`
 	// EngineProbes counts random compiled-engine-vs-interpreter probe
 	// inputs fired by the line-rate differential oracle (the exhaustive
 	// small-width sweeps it also runs are not counted here).
@@ -181,8 +169,6 @@ func (s Summary) Samples() map[string]float64 {
 		"failures":       float64(s.Failures),
 		"bpf_compiles":   float64(s.BPFCompiles),
 		"bpf_feasible":   float64(s.BPFFeasible),
-		"mode_checks":    float64(s.ModeChecks),
-		"mode_diverged":  float64(s.ModeDiverged),
 		"elapsed_ms":     s.ElapsedMS,
 		"iters_per_sec":  s.ItersPerSec,
 		"solver_ms":      s.SolverMS,
@@ -378,28 +364,6 @@ func runIteration(ctx context.Context, i int, opts CampaignOptions, mu *sync.Mut
 			}
 		}
 		count(func(s *Summary) { s.BPFMS += ms(time.Since(t0)) })
-	}
-
-	// Stage 2c: CEGIS-strategy differential on a subsample of iterations.
-	// Both modes search the same candidate space, so conclusive verdicts
-	// must agree; the whole comparison is inconclusive when either side
-	// times out or exhausts its candidate budget.
-	if opts.ModeEvery > 0 && i%opts.ModeEvery == 0 {
-		t0 = time.Now()
-		// Twice the single-compile budget: the oracle runs both modes.
-		octx, ocancel := context.WithTimeout(ctx, 2*opts.compileTimeout())
-		d, conclusive := CheckModeAgreement(octx, sc, seed)
-		ocancel()
-		if conclusive {
-			count(func(s *Summary) { s.ModeChecks++ })
-		}
-		if d != nil {
-			if d.Kind == KindModeDiverged {
-				count(func(s *Summary) { s.ModeDiverged++ })
-			}
-			fail(d.Kind, d.Detail, sc.Prog.Print(), false)
-		}
-		count(func(s *Summary) { s.OracleMS += ms(time.Since(t0)) })
 	}
 
 	// Stage 3: metamorphic oracle on a subsample of iterations.

@@ -35,7 +35,6 @@ const (
 	KindEngineMismatch  = "engine-mismatch"     // compiled line-rate engine vs interpreted datapath disagree
 	KindCoreNotMinimal  = "core-not-minimal"    // blamed UNSAT core fails its minimality contract on re-solve
 	KindExplainDiverged = "explain-diverged"    // gated forensics rerun found a config where ungated proved UNSAT
-	KindModeDiverged    = "mode-diverged"       // counterexample vs hole-elimination CEGIS verdicts disagree
 )
 
 // exhaustiveCheckWidth is the small width used for exhaustive

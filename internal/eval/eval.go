@@ -82,11 +82,6 @@ type Options struct {
 	// target's binding resource dimension in the CSV infeasibility
 	// columns. Feasible and timed-out mutants are unaffected.
 	Explain bool
-	// CEGISMode selects the CEGIS strategy for the PISA compilations
-	// (core.Options.CEGISMode): "" or "cex" for counterexample-guided,
-	// "holes" for hole elimination. The mode that concluded each mutant is
-	// recorded in the CSV chipmunk_mode column either way.
-	CEGISMode string
 }
 
 func (o *Options) mutants() int {
@@ -140,9 +135,6 @@ type MutantOutcome struct {
 	// ChipmunkEffort records the compilation's solver effort (CEGIS
 	// iterations, SAT conflicts, peak CNF size) for the CSV effort columns.
 	ChipmunkEffort core.Effort
-	// ChipmunkMode names the CEGIS strategy that concluded the compile
-	// ("cex" or "holes"), so per-mode sweeps can be joined on one CSV.
-	ChipmunkMode string
 
 	// ChipmunkInfeasibleDim names the binding resource dimension (a
 	// core.Dim* constant) when the mutant was infeasible and forensics ran
@@ -287,14 +279,12 @@ func compileBoth(ctx context.Context, b programs.Benchmark, m mutate.Mutant, idx
 		Cache:        opts.Cache,
 		History:      opts.History,
 		Explain:      opts.Explain,
-		CEGISMode:    opts.CEGISMode,
 	})
 	if err == nil {
 		out.ChipmunkOK = rep.Feasible
 		out.ChipmunkTimeout = rep.TimedOut
 		out.ChipmunkTime = rep.Elapsed
 		out.ChipmunkEffort = rep.Effort()
-		out.ChipmunkMode = rep.Mode
 		if rep.Feasible {
 			out.ChipmunkUsage = rep.Usage
 		}
@@ -572,7 +562,7 @@ func renderSeries(s Series) string {
 // CSVHeader is the exact column list CSV emits. External plotting scripts
 // key on these names, so the header is pinned by test: adding a column means
 // updating the pin deliberately, and existing columns must never move.
-const CSVHeader = "program,mutant,ops,chipmunk_ok,chipmunk_timeout,chipmunk_ms,chipmunk_stages,chipmunk_max_alus,chipmunk_iters,chipmunk_conflicts,chipmunk_decisions,chipmunk_propagations,chipmunk_peak_cnf_vars,chipmunk_infeasible_dim,chipmunk_mode,domino_ok,domino_ms,domino_stages,domino_max_alus,bpf_ran,bpf_ok,bpf_timeout,bpf_ms,bpf_instrs,bpf_iters,bpf_conflicts,bpf_infeasible_dim,domino_reason"
+const CSVHeader = "program,mutant,ops,chipmunk_ok,chipmunk_timeout,chipmunk_ms,chipmunk_stages,chipmunk_max_alus,chipmunk_iters,chipmunk_conflicts,chipmunk_decisions,chipmunk_propagations,chipmunk_peak_cnf_vars,chipmunk_infeasible_dim,domino_ok,domino_ms,domino_stages,domino_max_alus,bpf_ran,bpf_ok,bpf_timeout,bpf_ms,bpf_instrs,bpf_iters,bpf_conflicts,bpf_infeasible_dim,domino_reason"
 
 // CSV renders outcomes as a flat CSV for external plotting.
 func CSV(outcomes []MutantOutcome) string {
@@ -590,13 +580,13 @@ func CSV(outcomes []MutantOutcome) string {
 		for i, op := range o.Ops {
 			ops[i] = string(op)
 		}
-		fmt.Fprintf(&sb, "%s,%d,%s,%t,%t,%.1f,%d,%d,%d,%d,%d,%d,%d,%s,%s,%t,%.3f,%d,%d,%t,%t,%t,%.1f,%d,%d,%d,%s,%q\n",
+		fmt.Fprintf(&sb, "%s,%d,%s,%t,%t,%.1f,%d,%d,%d,%d,%d,%d,%d,%s,%t,%.3f,%d,%d,%t,%t,%t,%.1f,%d,%d,%d,%s,%q\n",
 			o.Program, o.Index, strings.Join(ops, "+"),
 			o.ChipmunkOK, o.ChipmunkTimeout, float64(o.ChipmunkTime.Microseconds())/1000,
 			o.ChipmunkUsage.Stages, o.ChipmunkUsage.MaxALUsPerStage,
 			o.ChipmunkEffort.Iters, o.ChipmunkEffort.Conflicts,
 			o.ChipmunkEffort.Decisions, o.ChipmunkEffort.Propagations,
-			o.ChipmunkEffort.PeakCNFVars, o.ChipmunkInfeasibleDim, o.ChipmunkMode,
+			o.ChipmunkEffort.PeakCNFVars, o.ChipmunkInfeasibleDim,
 			o.DominoOK, float64(o.DominoTime.Microseconds())/1000,
 			o.DominoUsage.Stages, o.DominoUsage.MaxALUsPerStage,
 			o.BPFRan, o.BPFOK, o.BPFTimeout, float64(o.BPFTime.Microseconds())/1000,

@@ -127,32 +127,12 @@ func TestCSVWellFormed(t *testing.T) {
 // address columns by these names and positions; any schema change must land
 // here deliberately, appending rather than reordering where possible.
 func TestCSVHeaderPinned(t *testing.T) {
-	const want = "program,mutant,ops,chipmunk_ok,chipmunk_timeout,chipmunk_ms,chipmunk_stages,chipmunk_max_alus,chipmunk_iters,chipmunk_conflicts,chipmunk_decisions,chipmunk_propagations,chipmunk_peak_cnf_vars,chipmunk_infeasible_dim,chipmunk_mode,domino_ok,domino_ms,domino_stages,domino_max_alus,bpf_ran,bpf_ok,bpf_timeout,bpf_ms,bpf_instrs,bpf_iters,bpf_conflicts,bpf_infeasible_dim,domino_reason"
+	const want = "program,mutant,ops,chipmunk_ok,chipmunk_timeout,chipmunk_ms,chipmunk_stages,chipmunk_max_alus,chipmunk_iters,chipmunk_conflicts,chipmunk_decisions,chipmunk_propagations,chipmunk_peak_cnf_vars,chipmunk_infeasible_dim,domino_ok,domino_ms,domino_stages,domino_max_alus,bpf_ran,bpf_ok,bpf_timeout,bpf_ms,bpf_instrs,bpf_iters,bpf_conflicts,bpf_infeasible_dim,domino_reason"
 	if CSVHeader != want {
 		t.Fatalf("CSV header drifted:\n got %s\nwant %s", CSVHeader, want)
 	}
 	if got := strings.SplitN(CSV(nil), "\n", 2)[0]; got != want {
 		t.Fatalf("CSV() emits a different header than CSVHeader:\n%s", got)
-	}
-}
-
-// TestCSVModeColumn checks the chipmunk_mode cell lands between the
-// infeasibility dimension and the domino columns.
-func TestCSVModeColumn(t *testing.T) {
-	csv := CSV([]MutantOutcome{{Program: "sampling", ChipmunkOK: true, ChipmunkMode: "holes"}})
-	row := strings.Split(strings.SplitN(csv, "\n", 3)[1], ",")
-	header := strings.Split(CSVHeader, ",")
-	idx := -1
-	for i, h := range header {
-		if h == "chipmunk_mode" {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		t.Fatal("chipmunk_mode missing from header")
-	}
-	if row[idx] != "holes" {
-		t.Fatalf("chipmunk_mode cell = %q, want \"holes\" (row %v)", row[idx], row)
 	}
 }
 

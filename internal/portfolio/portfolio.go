@@ -65,12 +65,6 @@ const (
 	// SAT at its depth or shallower, or implied infeasible by a deeper
 	// UNSAT) and the scheduler cancelled it.
 	Canceled
-	// Exhausted: the member gave up without a verdict and without the
-	// compile deadline expiring — hole-elimination CEGIS ran out of its
-	// candidate budget. Unlike TimedOut it does not end the portfolio:
-	// the member simply lost, and its depth stays unresolved for the
-	// remaining siblings.
-	Exhausted
 )
 
 func (v Verdict) String() string {
@@ -83,15 +77,13 @@ func (v Verdict) String() string {
 		return "timeout"
 	case Canceled:
 		return "canceled"
-	case Exhausted:
-		return "exhausted"
 	default:
 		return "unknown"
 	}
 }
 
 // Member is one attempt in the portfolio: a (stage depth, CEGIS seed,
-// allocation mode, CEGIS mode) tuple.
+// allocation mode) tuple.
 type Member struct {
 	// Index is the member's position in Spec.Members() order: depth
 	// ascending, base allocation mode first, seed fanout last. Index 0 is
@@ -106,9 +98,6 @@ type Member struct {
 	Seed int64
 	// IndicatorAlloc selects the indicator-variable field allocation.
 	IndicatorAlloc bool
-	// Mode is the CEGIS refinement strategy this member runs ("cex" or
-	// "holes"; empty means counterexample mode).
-	Mode string
 	// Hedge is how long after the member's depth becomes the frontier
 	// (minimum unresolved depth) the member becomes eligible to run — the
 	// seed-fanout stagger. Zero-hedge members run as soon as their depth
@@ -143,13 +132,6 @@ type Spec struct {
 	// RaceAllocs additionally races the opposite allocation mode for
 	// every depth/seed member.
 	RaceAllocs bool
-	// Mode is the base CEGIS refinement strategy every member runs
-	// (empty means counterexample mode, matching the sequential path).
-	Mode string
-	// RaceModes additionally races the listed extra modes for every
-	// depth/seed/alloc member — the upstream driver's counter_example vs
-	// hole_elimination race. Members()[0] always keeps the base Mode.
-	RaceModes []string
 	// Stagger is the per-seed-slot hedge delay; 0 means DefaultStagger,
 	// negative disables staggering entirely.
 	Stagger time.Duration
@@ -167,9 +149,8 @@ func (s Spec) stagger() time.Duration {
 
 // Members expands the spec into the ordered attempt list. Ordering is
 // depth-ascending, base allocation before the raced one, seed slot 0
-// before diversified slots, base CEGIS mode before raced modes — so
-// Members()[0] is exactly the attempt the sequential iterative-deepening
-// path would run first.
+// before diversified slots — so Members()[0] is exactly the attempt the
+// sequential iterative-deepening path would run first.
 func (s Spec) Members() []Member {
 	lo := s.MinStages
 	if lo < 1 {
@@ -183,12 +164,6 @@ func (s Spec) Members() []Member {
 	if s.RaceAllocs {
 		allocs = append(allocs, !s.IndicatorAlloc)
 	}
-	modes := []string{s.Mode}
-	for _, m := range s.RaceModes {
-		if m != s.Mode {
-			modes = append(modes, m)
-		}
-	}
 	var ms []Member
 	for d := lo; d <= s.MaxStages; d++ {
 		for k := 0; k < fanout; k++ {
@@ -197,28 +172,14 @@ func (s Spec) Members() []Member {
 				if ind {
 					name = "ind"
 				}
-				for _, mode := range modes {
-					label := fmt.Sprintf("d%d.s%d.%s", d, k, name)
-					if len(modes) > 1 {
-						// The mode segment appears only when modes actually
-						// race, so single-mode labels (and the baselines
-						// keyed on them) are unchanged.
-						seg := mode
-						if seg == "" {
-							seg = "cex"
-						}
-						label += "." + seg
-					}
-					ms = append(ms, Member{
-						Index:          len(ms),
-						Label:          label,
-						Stages:         d,
-						Seed:           s.BaseSeed + int64(k)*seedStride,
-						IndicatorAlloc: ind,
-						Mode:           mode,
-						Hedge:          time.Duration(k) * s.stagger(),
-					})
-				}
+				ms = append(ms, Member{
+					Index:          len(ms),
+					Label:          fmt.Sprintf("d%d.s%d.%s", d, k, name),
+					Stages:         d,
+					Seed:           s.BaseSeed + int64(k)*seedStride,
+					IndicatorAlloc: ind,
+					Hedge:          time.Duration(k) * s.stagger(),
+				})
 			}
 		}
 	}
@@ -574,8 +535,6 @@ func (s *sched[T]) report(i int, v T, verdict Verdict, err error) {
 		s.done = true
 	case Canceled:
 		s.reg.Counter("portfolio.canceled").Add(1)
-	case Exhausted:
-		s.reg.Counter("portfolio.exhausted").Add(1)
 	}
 	s.advanceFrontier()
 	s.checkWinner()

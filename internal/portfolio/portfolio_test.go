@@ -354,104 +354,3 @@ func TestSchedulerStress(t *testing.T) {
 		}
 	}
 }
-
-// TestMembersModeAxis checks the mode expansion: RaceModes adds a
-// same-seed sibling per mode with a ".mode" label segment, single-mode
-// portfolios keep their historical labels, and a RaceModes entry equal to
-// the base mode is dropped rather than duplicated.
-func TestMembersModeAxis(t *testing.T) {
-	s := Spec{MinStages: 1, MaxStages: 2, SeedFanout: 1, BaseSeed: 7,
-		Mode: "cex", RaceModes: []string{"holes"}}
-	ms := s.Members()
-	want := []struct {
-		label string
-		mode  string
-	}{
-		{"d1.s0.canon.cex", "cex"},
-		{"d1.s0.canon.holes", "holes"},
-		{"d2.s0.canon.cex", "cex"},
-		{"d2.s0.canon.holes", "holes"},
-	}
-	if len(ms) != len(want) {
-		t.Fatalf("got %d members, want %d", len(ms), len(want))
-	}
-	for i, m := range ms {
-		if m.Label != want[i].label || m.Mode != want[i].mode {
-			t.Errorf("member %d = %q mode %q, want %q mode %q", i, m.Label, m.Mode, want[i].label, want[i].mode)
-		}
-		if m.Seed != 7 {
-			t.Errorf("member %s seed %d: mode siblings must share the slot seed", m.Label, m.Seed)
-		}
-	}
-
-	// Single mode: no label segment, so baselines keyed on the historical
-	// labels are unchanged even for a non-default mode.
-	solo := Spec{MinStages: 1, MaxStages: 1, Mode: "holes"}.Members()
-	if len(solo) != 1 || solo[0].Label != "d1.s0.canon" || solo[0].Mode != "holes" {
-		t.Fatalf("single-mode members = %+v", solo)
-	}
-
-	// A redundant RaceModes entry must not duplicate members.
-	dup := Spec{MinStages: 1, MaxStages: 1, Mode: "cex", RaceModes: []string{"cex"}}.Members()
-	if len(dup) != 1 {
-		t.Fatalf("RaceModes duplicating the base mode grew the portfolio: %+v", dup)
-	}
-}
-
-// TestExhaustedMemberDoesNotEndRace: a hole-elimination member running out
-// of candidates is a lost member, not a timed-out portfolio. The race must
-// carry on to a deeper feasible sibling, with the winner's floor proven by
-// the counterexample member's infeasible verdict.
-func TestExhaustedMemberDoesNotEndRace(t *testing.T) {
-	manyCores(t)
-	f := &fakeRun{}
-	s := Spec{MinStages: 1, MaxStages: 2, SeedFanout: 1, BaseSeed: 7, Stagger: -1,
-		Mode: "cex", RaceModes: []string{"holes"}}
-	verdicts := map[string]Verdict{
-		"d1.s0.canon.cex":   Infeasible,
-		"d1.s0.canon.holes": Exhausted,
-		"d2.s0.canon.holes": Feasible,
-		// d2 cex has no script entry: it blocks until the holes win
-		// cancels it.
-	}
-	// Hold the depth-1 infeasible and the depth-2 SAT until every member
-	// has started, so the exhausting member cannot be skipped as already
-	// resolved — the verdict under test must come from a real run.
-	gate := make(chan struct{})
-	gates := map[string]chan struct{}{"d1.s0.canon.cex": gate, "d2.s0.canon.holes": gate}
-	go func() {
-		for {
-			f.mu.Lock()
-			n := len(f.started)
-			f.mu.Unlock()
-			if n == 4 {
-				close(gate)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	reg := obs.NewRegistry()
-	ctx := obs.ContextWithMetrics(context.Background(), reg)
-	res, err := Run(ctx, s.Members(), 4, f.fn(verdicts, gates))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TimedOut {
-		t.Fatal("an exhausted member timed out the whole portfolio")
-	}
-	if res.Winner == nil || res.Winner.Member.Label != "d2.s0.canon.holes" {
-		t.Fatalf("winner %+v, want d2.s0.canon.holes", res.Winner)
-	}
-	if res.Winner.Member.Mode != "holes" {
-		t.Fatalf("winner mode %q, want holes", res.Winner.Member.Mode)
-	}
-	for _, o := range res.Outcomes {
-		if o.Member.Label == "d1.s0.canon.holes" && o.Verdict != Exhausted {
-			t.Errorf("exhausted member recorded verdict %v", o.Verdict)
-		}
-	}
-	if got := reg.Counter("portfolio.exhausted").Value(); got != 1 {
-		t.Errorf("portfolio.exhausted = %d, want 1", got)
-	}
-}

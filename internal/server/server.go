@@ -7,7 +7,8 @@
 //	POST /compile            submit a compilation job (JSON CompileRequest).
 //	                         Returns 202 with the job's status, or the final
 //	                         status directly when "wait" is set. 400 on a
-//	                         parse or validation error, 429 when the queue
+//	                         parse or validation error, an unknown field or
+//	                         data after the JSON object, 429 when the queue
 //	                         is full, 503 while draining.
 //	GET  /jobs/{id}          poll a job's status.
 //	GET  /jobs/{id}/events   Server-Sent Events stream of the job's live
@@ -43,7 +44,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -59,7 +62,6 @@ import (
 	"repro/internal/alu"
 	"repro/internal/ast"
 	"repro/internal/bpf"
-	"repro/internal/cegis"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -204,13 +206,6 @@ type CompileRequest struct {
 	// Explanation naming the binding resource dimension and the minimal
 	// blamed constraint groups. Feasible and cached jobs are unaffected.
 	Explain bool `json:"explain,omitempty"`
-	// CEGISMode selects the refinement strategy: "cex" (default,
-	// counterexample-guided) or "holes" (hole elimination). Rejected at
-	// submission when it names no known mode.
-	CEGISMode string `json:"cegis_mode,omitempty"`
-	// RaceModes additionally races the other CEGIS strategy per depth in
-	// portfolio mode (ignored unless Parallel > 1).
-	RaceModes bool `json:"race_modes,omitempty"`
 	// SymmetryBreak adds the grid's symmetry-breaking clauses to the
 	// synthesis encoding (pisa target only; bpf ignores it).
 	SymmetryBreak bool `json:"symmetry_break,omitempty"`
@@ -240,9 +235,6 @@ type CompileResult struct {
 	// members' solver work; both are zero-valued for sequential jobs.
 	Winner          string `json:"winner,omitempty"`
 	WastedConflicts int64  `json:"wasted_conflicts,omitempty"`
-	// Mode is the CEGIS strategy that produced the verdict ("cex" or
-	// "holes") — the winning member's mode under RaceModes.
-	Mode string `json:"mode,omitempty"`
 	// Explanation is the infeasibility-forensics report, present when the
 	// request asked for Explain and the job concluded infeasible.
 	Explanation *core.Explanation `json:"explanation,omitempty"`
@@ -541,7 +533,6 @@ func (s *Server) run(j *job) {
 			ElapsedMS:       float64(rep.Elapsed.Microseconds()) / 1000,
 			Target:          rep.Target,
 			Winner:          rep.Winner,
-			Mode:            rep.Mode,
 			WastedConflicts: rep.WastedConflicts,
 			Explanation:     rep.Explanation,
 		}
@@ -738,7 +729,16 @@ const maxRequestBody = 1 << 20
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
+	// Strict decoding: a misspelled or retired field must not silently
+	// compile with the default it failed to override.
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("unexpected data after the JSON object")
+		}
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -809,9 +809,6 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cegis.ParseMode(req.CEGISMode); err != nil {
-		return nil, err
-	}
 	switch req.Target {
 	case "", "pisa", "bpf":
 	default:
@@ -845,8 +842,6 @@ func (s *Server) newJob(req CompileRequest) (*job, error) {
 			VerifyWidth:   word.Width(req.VerifyWidth),
 			Seed:          req.Seed,
 			Explain:       req.Explain,
-			CEGISMode:     req.CEGISMode,
-			RaceModes:     req.RaceModes,
 			SymmetryBreak: req.SymmetryBreak,
 			Parallelism:   parallel,
 			SeedFanout:    fanout,

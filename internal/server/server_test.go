@@ -166,11 +166,61 @@ func TestBadRequests(t *testing.T) {
 		"synth width":  {Name: "x", Source: samplingSrc, SynthWidth: 33},
 		"verify width": {Name: "x", Source: samplingSrc, VerifyWidth: 64},
 		"max stages":   {Name: "x", Source: samplingSrc, MaxStages: -3},
+		"const bits":   {Name: "x", Source: samplingSrc, ConstBits: -5},
 	} {
 		resp, _ := postCompile(t, ts, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestStrictRequestDecoding: a body naming a field CompileRequest does not
+// have (a retired one or a misspelling), or carrying data after the JSON
+// object, is a 400 with a JSON error — never a compile that silently runs
+// with the defaults the client tried to override.
+func TestStrictRequestDecoding(t *testing.T) {
+	s := New(Config{Workers: 1, JobTimeout: 2 * time.Minute})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, map[string]string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]string
+		if resp.StatusCode == http.StatusBadRequest {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatalf("400 body is not JSON: %v", err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	src, _ := json.Marshal(samplingSrc)
+	obj := `{"name":"sampling","source":` + string(src) + `,"wait":true`
+	for name, tc := range map[string]struct{ body, want string }{
+		"retired cegis_mode": {obj + `,"cegis_mode":"holes"}`, `unknown field "cegis_mode"`},
+		"retired race_modes": {obj + `,"race_modes":true}`, `unknown field "race_modes"`},
+		"misspelled field":   {obj + `,"max_stage":3}`, `unknown field "max_stage"`},
+		"trailing garbage":   {obj + `} x`, "after the JSON object"},
+		"second object":      {obj + `}{"name":"again"}`, "after the JSON object"},
+	} {
+		code, out := post(tc.body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+			continue
+		}
+		if !strings.Contains(out["error"], tc.want) {
+			t.Errorf("%s: error %q lacks %q", name, out["error"], tc.want)
+		}
+	}
+	// Known fields with trailing whitespace still compile.
+	if code, _ := post(obj + "}\n\t "); code != http.StatusOK {
+		t.Fatalf("valid request: status %d, want 200", code)
 	}
 }
 

@@ -60,8 +60,7 @@ type Sketch struct {
 
 	holes     *pisa.Holes[circuit.Word] // words at natural hole width
 	holeBits  map[string]int
-	holeNames []string       // deterministic order
-	holeWords []circuit.Word // same order as holeNames
+	holeNames []string // deterministic order
 	minWidth  word.Width
 }
 
@@ -93,9 +92,7 @@ func New(b *circuit.Builder, grid pisa.GridSpec, numFields, numStates int, opts 
 			if !data && word.Width(bits) > s.minWidth {
 				s.minWidth = word.Width(bits)
 			}
-			hw := b.InputWord(word.Width(bits))
-			s.holeWords = append(s.holeWords, hw)
-			return hw
+			return b.InputWord(word.Width(bits))
 		})
 	return s, nil
 }
@@ -118,13 +115,6 @@ func (s *Sketch) HoleInventory() (names []string, bits []int) {
 		bits[i] = s.holeBits[n]
 	}
 	return names, bits
-}
-
-// HoleWords returns every hole word in deterministic (creation) order —
-// the complete configuration space hole-elimination CEGIS blocks refuted
-// candidates over.
-func (s *Sketch) HoleWords() []circuit.Word {
-	return append([]circuit.Word{}, s.holeWords...)
 }
 
 // PublishMetrics records the sketch's hole inventory into the registry:
